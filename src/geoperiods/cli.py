@@ -9,6 +9,8 @@ failure, 2 usage/config errors.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -16,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import eigen, verify
+from .eigen import _atomic_write
 from .hypgeom import GroupElement, circle_orbit, geodesic_orbit_from_matrix
 from .modelrep import (SpectralParam, density_b, density_c, density_to_csv)
 from .periods import (SphereEquator, check_average_bound,
@@ -77,8 +80,7 @@ def load_config(path) -> RunConfig:
 
 
 def _cache_dir(cfg: RunConfig, args) -> str:
-    return (args.cache or cfg.cache_dir
-            or os.environ.get(eigen.CACHE_ENV_VAR, "form_cache"))
+    return eigen.resolve_cache_dir(args.cache, cfg.cache_dir)
 
 
 def _build_curve(spec):
@@ -112,15 +114,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 def _load_cached_forms(cfg: RunConfig, cache) -> list:
     forms = []
     for bracket in cfg.brackets:
-        found = None
-        for parity in ("even", "odd"):
-            for m0 in (cfg.M0 + 8, 22):
-                path = eigen.cache_path(cache, bracket, parity, m0)
-                if os.path.exists(path):
-                    found = eigen.load_form(path)
-                    break
-            if found:
-                break
+        found = eigen.find_form(cache, bracket)
         if found is None:
             raise FileNotFoundError(
                 f"no cached form for bracket {bracket}; run "
@@ -138,7 +132,7 @@ def _sweep_maass(cfg: RunConfig, cache, out):
         form, curve = job
         phi = eigen.as_eigenfunction(form)
         par = SpectralParam.from_r(form.R)
-        prof = restrict(phi, curve, grid=2048, exact=True)
+        prof = restrict(phi, curve, grid=2048)
         table = fourier_periods(prof, tuple(cfg.n_range))
         if hasattr(curve, "q"):
             dens = density_b(par, curve.q, tuple(cfg.n_range))
@@ -189,15 +183,12 @@ def _sweep_sphere(cfg: RunConfig, out):
         rows.append((n, phi.mu, prof.norm_restriction()))
     slope, const, resid = fit_restriction_exponent(
         [(mu, p) for _, mu, p in rows])
-    import csv as _csv
-    import io
     buf = io.StringIO()
-    w = _csv.writer(buf)
+    w = csv.writer(buf)
     w.writerow(["degree", "mu", "restriction_norm", "fitted_slope"])
     for n, mu, p in rows:
         w.writerow([n, format(mu, ".17g"), format(p, ".17g"),
                     format(slope, ".17g")])
-    from .periods import _atomic_write
     _atomic_write(os.path.join(out, "sphere_sharpness.csv"), buf.getvalue())
     report_to_json(os.path.join(out, "summary.json"), "sphere", [],
                    fits={"equator_exponent": slope, "constant": const,

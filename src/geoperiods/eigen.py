@@ -11,9 +11,9 @@ coefficient mismatch, then confirmed at deeper truncation.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -27,6 +27,7 @@ __all__ = [
     "NoEigenvalueError",
     "ConditioningError",
     "AccuracyLossError",
+    "ReductionError",
     "sphere_harmonic",
     "torus_mode",
     "hejhal_solve",
@@ -37,10 +38,21 @@ __all__ = [
     "save_form",
     "load_form",
     "cache_path",
+    "find_form",
+    "resolve_cache_dir",
 ]
 
 CACHE_ENV_VAR = "GEOPERIODS_CACHE"
 _CACHE_FORMAT_VERSION = 1
+
+
+def resolve_cache_dir(*candidates) -> str:
+    """The first non-empty candidate, else $GEOPERIODS_CACHE, else
+    ``form_cache`` (relative to the working directory)."""
+    for c in candidates:
+        if c:
+            return c
+    return os.environ.get(CACHE_ENV_VAR) or "form_cache"
 
 
 class NoEigenvalueError(Exception):
@@ -55,6 +67,10 @@ class ConditioningError(Exception):
 
 class AccuracyLossError(Exception):
     pass
+
+
+class ReductionError(Exception):
+    """``pullback`` did not reach the fundamental domain within its steps."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +88,6 @@ class Eigenfunction:
     spectral_r: Optional[float]
     evaluator: Callable
     label: str = ""
-    payload: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +162,12 @@ def torus_mode(k) -> Eigenfunction:
 
 
 def pullback(z: complex, max_steps=200) -> complex:
-    """Reduce z into the standard fundamental domain {|z|>=1, |Re z|<=1/2}."""
-    z = complex(z)
+    """Reduce z into the standard fundamental domain {|z|>=1, |Re z|<=1/2}.
+
+    Raises ReductionError if ``max_steps`` translate-and-invert steps do
+    not get there.
+    """
+    z0 = z = complex(z)
     if z.imag <= 0:
         raise ValueError("pullback: point must have Im z > 0")
     for _ in range(max_steps):
@@ -157,7 +176,7 @@ def pullback(z: complex, max_steps=200) -> complex:
             z = -1.0 / z
         else:
             return z
-    return z
+    raise ReductionError(f"pullback: {z0} not reduced in {max_steps} steps")
 
 
 class _KappaTable:
@@ -226,8 +245,11 @@ class MaassForm:
             self._table = _KappaTable(self.R, 2.0 * np.pi * 0.28, u_max)
         return self._table
 
-    def value(self, z, exact=False, floor=0.05):
-        """Evaluate at complex z (scalar or array), pulling back first."""
+    def value(self, z, floor=0.05):
+        """Evaluate at complex z (scalar or array), pulling back first.
+
+        The K_iR kernel comes from the cubic table of ``_ensure_table``.
+        """
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
         pts = np.array([pullback(w) for w in zz.ravel()])
         if np.any(pts.imag < floor):
@@ -236,8 +258,7 @@ class MaassForm:
         x = pts.real
         y = pts.imag
         osc = np.cos if self.parity == "even" else np.sin
-        kap = (lambda u: bessel_k_imag(self.R, u)) if exact \
-            else self._ensure_table()
+        kap = self._ensure_table()
         total = np.zeros(x.shape)
         sy = np.sqrt(y)
         for idx, a in enumerate(self.coefficients):
@@ -250,12 +271,9 @@ class MaassForm:
 
 
 def _maass_eigenfunction(form: MaassForm) -> Eigenfunction:
-    def ev(z, exact=False):
-        return form.value(z, exact=exact)
-
     return Eigenfunction(surface="modular", mu=form.mu, spectral_r=form.R,
-                         evaluator=ev, label=f"maass(R={form.R:.6f},{form.parity})",
-                         payload=form)
+                         evaluator=form.value,
+                         label=f"maass(R={form.R:.6f},{form.parity})")
 
 
 class _Collocation:
@@ -428,14 +446,12 @@ def _normalize_l2(form: MaassForm):
 # ---------------------------------------------------------------------------
 
 
-def evaluate(phi: Eigenfunction, point, exact=False):
+def evaluate(phi: Eigenfunction, point):
     """Evaluate an eigenfunction at a surface point (or batch).
 
     sphere: (colatitude, longitude); torus: (x1, x2); modular: complex z,
     pulled into the fundamental domain first.
     """
-    if phi.surface == "modular":
-        return phi.evaluator(point, exact=exact)
     return phi.evaluator(point)
 
 
@@ -476,7 +492,7 @@ def laplace_residual(phi: Eigenfunction, points, h=None) -> float:
         else:
             z = pullback(complex(p))
             step = h or min(1e-3, 0.05 / scale) * z.imag
-            f = lambda w: float(evaluate(phi, w, exact=True))
+            f = lambda w: float(evaluate(phi, w))
             f0, _, fxx = _d1_d2(lambda k: f(z + k * step), step)
             _, _, fyy = _d1_d2(lambda k: f(z + 1j * k * step), step)
             lap = z.imag ** 2 * (fxx + fyy)
@@ -495,6 +511,39 @@ def cache_path(cache_dir, bracket, parity, M0):
     return os.path.join(cache_dir, name)
 
 
+def find_form(cache_dir, bracket) -> Optional[MaassForm]:
+    """The cached form for ``bracket``: either parity, any truncation M0;
+    the record with the highest M0 wins.  None when there is none."""
+    found = []
+    for parity in ("even", "odd"):
+        pattern = cache_path(glob.escape(cache_dir), bracket, parity, "*")
+        for path in glob.glob(pattern):
+            m0 = os.path.basename(path)[:-len(".json")].rpartition("_M")[2]
+            if m0.isdigit():
+                found.append((int(m0), path))
+    if not found:
+        return None
+    return load_form(max(found, key=lambda f: f[0])[1])
+
+
+def _atomic_write(path, text):
+    """Write ``text`` to ``path`` through a temporary file and a rename.
+
+    The file is created with mode 0o666 less the umask, as ``open`` would.
+    """
+    path = os.path.abspath(path)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_form(form: MaassForm, path):
     record = {
         "format_version": _CACHE_FORMAT_VERSION,
@@ -510,12 +559,7 @@ def save_form(form: MaassForm, path):
         "height_agreement": form.height_agreement,
         "bracket": list(form.bracket),
     }
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-    with os.fdopen(fd, "w") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    _atomic_write(path, json.dumps(record, indent=1, sort_keys=True) + "\n")
 
 
 def load_form(path) -> MaassForm:

@@ -17,12 +17,14 @@ whose norms grow linearly while the functional values stay bounded below.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import quad
+from .eigen import _atomic_write
 from .hypgeom import GroupElement
 from .specfun import DomainError, log_gamma
 
@@ -430,12 +432,8 @@ def test_vector(T: float, param: SpectralParam, profile=None) -> ModelVector:
 
 
 def vector_norm_sq(v: ModelVector, xmax=None) -> float:
-    """Unitary-model squared norm: (1/pi) int_R |v|^2 dx for line vectors
-    (equals the circle-model (1/2pi) int |f|^2 dphi), int_0^1 |f|^2 for
-    circle vectors."""
-    if v.kind == "circle":
-        res = quad.integrate_periodic(lambda th: np.abs(v.evaluator(th)) ** 2)
-        return float(res.value.real)
+    """Unitary-model squared norm of a line vector: (1/pi) int_R |v|^2 dx
+    (equals the circle-model (1/2pi) int |f|^2 dphi)."""
     if v.support is not None:
         lo, hi = v.support
         res = quad.integrate_adaptive(lambda x: np.abs(v(x)) ** 2, lo, hi)
@@ -458,8 +456,6 @@ def vector_norm_sq(v: ModelVector, xmax=None) -> float:
 def fit_regime_constants(table: DensityTable) -> dict:
     """Envelope constants (log scale) from one table: bulk |b|^2 <= c1/|lam|,
     transition <= c2/sqrt|lam|, tail <= c3 e^{-sigma/10}."""
-    al = table.param.abs_lam * (table.meta.get("c_edge", 1.0)
-                                if table.kind == "circle-c" else 1.0)
     out = {"bulk": -np.inf, "transition": -np.inf, "tail": -np.inf}
     for l2, sig, tag in zip(table.log_abs2, table.sigma, table.regime):
         if not np.isfinite(l2):
@@ -496,9 +492,10 @@ def check_regime_envelopes(table: DensityTable, constants: dict,
 
 
 def density_to_csv(table: DensityTable, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "Re", "Im", "abs2", "regime"])
-        for n, e, tag in zip(table.n_values, table.entries, table.regime):
-            w.writerow([int(n), format(e.real, ".17g"), format(e.imag, ".17g"),
-                        format(abs(e) ** 2, ".17g"), tag])
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["n", "Re", "Im", "abs2", "regime"])
+    for n, e, tag in zip(table.n_values, table.entries, table.regime):
+        w.writerow([int(n), format(e.real, ".17g"), format(e.imag, ".17g"),
+                    format(abs(e) ** 2, ".17g"), tag])
+    _atomic_write(path, buf.getvalue())

@@ -13,15 +13,14 @@ convention can be reported.
 from __future__ import annotations
 
 import csv
+import io
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .eigen import Eigenfunction, evaluate
+from .eigen import Eigenfunction, _atomic_write, evaluate
 from .hypgeom import CircleOrbit, GeodesicOrbit
 from .modelrep import DensityTable
 
@@ -127,14 +126,12 @@ class RestrictionProfile:
                    curve_id=curve_id)
 
 
-def restrict(phi: Eigenfunction, curve, grid=1024, exact=False) -> RestrictionProfile:
+def restrict(phi: Eigenfunction, curve, grid=1024) -> RestrictionProfile:
     """Sample phi along the curve's mass-one parametrization.
 
     The grid is a power of two >= 256; the profile is also sampled at
     double density and the change of the restriction norm recorded
     (stability < 1e-6 relative is asserted downstream, not here).
-    modular evaluation can be forced to skip the interpolation table with
-    ``exact=True``.
     """
     if grid < 256 or (grid & (grid - 1)) != 0:
         raise ValueError("grid must be a power of two >= 256")
@@ -148,10 +145,7 @@ def restrict(phi: Eigenfunction, curve, grid=1024, exact=False) -> RestrictionPr
 
     def sample(n):
         theta = np.arange(n) / n
-        pts = curve.points(theta)
-        if phi.surface == "modular":
-            return np.asarray(evaluate(phi, pts, exact=exact), dtype=complex)
-        return np.asarray(evaluate(phi, pts), dtype=complex)
+        return np.asarray(evaluate(phi, curve.points(theta)), dtype=complex)
 
     s1 = sample(grid)
     s2 = sample(2 * grid)
@@ -196,9 +190,6 @@ class PeriodTable:
     def partial_sum(self, T) -> float:
         return float(sum(abs(v) ** 2 for n, v in self.a.items()
                          if abs(n) <= T))
-
-    def partial_sums(self, t_grid) -> dict:
-        return {float(t): self.partial_sum(t) for t in t_grid}
 
 
 def periods(profile: RestrictionProfile, n_range) -> PeriodTable:
@@ -360,24 +351,10 @@ def fit_restriction_exponent(pairs):
     return float(slope), float(np.exp(intercept)), resid
 
 
-def power_law_constant(pairs, exponent) -> float:
-    """Smallest C with p <= C mu^exponent over the sample."""
-    return max(float(p) / float(m) ** exponent for m, p in pairs)
-
-
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path, text):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-    with os.fdopen(fd, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def period_table_to_csv(table: PeriodTable, path):
-    import io
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["n", "p_re", "p_im", "fourier_re", "fourier_im",

@@ -4,8 +4,10 @@ Three workhorses: adaptive Gauss-Kronrod on (possibly infinite) intervals
 with declared algebraic endpoint/interior singularities, a doubling
 trapezoid rule for smooth periodic integrands on [0, 1), and a composite
 oscillatory integrator whose node density follows the phase derivative.
-``analyze_phase`` classifies stationary points of a phase function; it is
-used only to *tag* oscillatory regimes, never to compute integrals.
+``analyze_phase`` locates and classifies stationary points of a phase
+function.  No pipeline calls it: the density tables tag regimes by fixed
+fractions of the turning frequency, and the tests use ``analyze_phase``
+as an independent check of those tags.
 
 Integrands must accept numpy arrays.
 """
@@ -130,8 +132,6 @@ def _split_for_singularity(f, a, b, spec):
         return h, 0.0, lo_len ** (1.0 / p)
 
     if point > a:
-        def fneg(x):
-            return f(point - (x - point)) if False else f(x)
         # mirror the left side onto a right-sided transform
         def gleft(u):
             x = point - u ** p
@@ -242,15 +242,12 @@ def periodic_fourier(f, n_max, rel_tol=1e-11, n_start=None, max_doublings=12):
         c = np.fft.fft(vals) / n
         idx = np.concatenate([np.arange(-n_max, 0) + n, np.arange(0, n_max + 1)])
         cur = c[idx]
-        cur = np.roll(cur, 0)
         neval += n
         if prev is not None:
             change = float(np.max(np.abs(cur - prev)))
             scale = float(np.max(np.abs(cur))) + 1e-300
             if change <= rel_tol * scale + 1e-15:
-                ordered = np.empty(2 * n_max + 1, dtype=complex)
-                ordered[:] = cur
-                return ordered, change, neval
+                return cur, change, neval
         prev = cur
         n *= 2
     raise ConvergenceError(

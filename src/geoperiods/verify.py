@@ -8,7 +8,6 @@ failed) when the cache is absent.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -26,8 +25,8 @@ from .periods import (RestrictionProfile, SphereEquator, TorusGeodesic,
                       fit_restriction_exponent, periods as fourier_periods,
                       restrict)
 
-__all__ = ["CheckResult", "ALL_CHECKS", "run_checks", "default_cache_dir",
-           "acceptance_forms", "ACCEPTANCE_GEODESIC", "ACCEPTANCE_CIRCLE"]
+__all__ = ["CheckResult", "ALL_CHECKS", "run_checks", "acceptance_forms",
+           "ACCEPTANCE_GEODESIC", "ACCEPTANCE_CIRCLE"]
 
 # fixed curves for the averaged-bound run.  The geodesic must be long (so
 # the measurable coefficient band covers the whole T sweep) AND low-lying
@@ -60,7 +59,7 @@ class CheckResult:
 
 
 def _finish(name, budget, t0, passed, details, skipped=False, **extras):
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = passed and elapsed <= budget
     if passed and elapsed > budget:
         details += f"; OVER BUDGET ({elapsed:.1f}s > {budget:.0f}s)"
@@ -68,21 +67,12 @@ def _finish(name, budget, t0, passed, details, skipped=False, **extras):
                        budget=budget, details=details, extras=extras)
 
 
-def default_cache_dir():
-    return os.environ.get(eigen.CACHE_ENV_VAR,
-                          os.path.join(os.getcwd(), "form_cache"))
-
-
 def acceptance_forms(cache_dir, solve_missing=True, brackets=ACCEPTANCE_BRACKETS):
-    """Load (or solve and cache) the cusp forms used by the acceptance runs."""
+    """Load (or solve and cache) the cusp forms used by the acceptance runs;
+    None when one is missing and ``solve_missing`` is false."""
     forms = []
     for bracket in brackets:
-        found = None
-        for parity in ("even", "odd"):
-            path = eigen.cache_path(cache_dir, bracket, parity, 22)
-            if os.path.exists(path):
-                found = eigen.load_form(path)
-                break
+        found = eigen.find_form(cache_dir, bracket)
         if found is None:
             if not solve_missing:
                 return None
@@ -104,7 +94,7 @@ def check_gamma_formula(rel_tol=1e-6, floor=3e-8, budget=120.0):
     absolute accuracy is ~1e-14 of the integrand scale); those entries
     are required to quadrature out below 1e-7 in absolute value instead.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_rel = 0.0
     worst_at = None
     floor_bad = 0
@@ -162,7 +152,7 @@ def _table_integral_quadrature(s, t):
 
 def check_table_integral(n_samples=100, seed=20260810, rel_tol=1e-8,
                          budget=30.0):
-    t0 = time.time()
+    t0 = time.perf_counter()
     exact = table_integral(0.0, -1.0)
     worst = abs(exact - np.pi) / np.pi
     rng = np.random.default_rng(seed)
@@ -188,7 +178,7 @@ def check_table_integral(n_samples=100, seed=20260810, rel_tol=1e-8,
 def check_geodesic_envelopes(slack=2.0, budget=60.0):
     """Bulk 1/|lam|, transition 1/sqrt|lam|, tail e^{-sigma/10} envelope
     constants fitted at |lam| = 80 must cover |lam| = 160 within 2x."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = -np.inf
     details = []
     for q in (0.5, 1.0 / np.log(2.0), 2.0):
@@ -211,7 +201,7 @@ def check_geodesic_envelopes(slack=2.0, budget=60.0):
 def check_circle_regimes(budget=300.0):
     """Circle density: bulk |c|^2 slope -1 +- 0.1 in |lam|, transition
     plateau slope -2/3 +- 0.15, and >= 1e3 drop per octave past the edge."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = GroupElement([[2.0, 0.0], [0.0, 0.5]])
     c_edge = circle_edge_constant(g)
     lams = (40.0, 80.0, 160.0, 320.0)
@@ -243,7 +233,7 @@ def check_circle_regimes(budget=300.0):
 # --------------------------------------------------------------- check 5
 
 def check_sphere_sharpness(budget=60.0):
-    t0 = time.time()
+    t0 = time.perf_counter()
     equator = SphereEquator()
     pairs = []
     for n in range(10, 201):
@@ -262,14 +252,14 @@ def check_sphere_sharpness(budget=60.0):
 
 def check_plancherel(cache_dir=None, solve_missing=True, tol=1e-6,
                      budget=120.0):
-    t0 = time.time()
+    t0 = time.perf_counter()
     profiles = [
         ("torus(3,4)", restrict(eigen.torus_mode((3, 4)), TorusGeodesic())),
         ("sphere Y(20,13)", restrict(eigen.sphere_harmonic(20, 13),
                                      SphereEquator())),
     ]
     skipped_modular = False
-    cache_dir = cache_dir or default_cache_dir()
+    cache_dir = eigen.resolve_cache_dir(cache_dir)
     forms = acceptance_forms(cache_dir, solve_missing,
                              brackets=ACCEPTANCE_BRACKETS[:1])
     if forms is None:
@@ -278,10 +268,8 @@ def check_plancherel(cache_dir=None, solve_missing=True, tol=1e-6,
         phi = eigen.as_eigenfunction(forms[0])
         geo = geodesic_orbit_from_matrix(GroupElement(ACCEPTANCE_GEODESIC))
         circ = circle_orbit(*ACCEPTANCE_CIRCLE)
-        profiles.append(("modular geodesic", restrict(phi, geo, grid=2048,
-                                                      exact=True)))
-        profiles.append(("modular circle", restrict(phi, circ, grid=2048,
-                                                    exact=True)))
+        profiles.append(("modular geodesic", restrict(phi, geo, grid=2048)))
+        profiles.append(("modular circle", restrict(phi, circ, grid=2048)))
     worst = 0.0
     rows = []
     for label, prof in profiles:
@@ -299,7 +287,7 @@ def check_plancherel(cache_dir=None, solve_missing=True, tol=1e-6,
 
 def check_planted_roundtrip(n_plants=100, seed=20260810, tol=1e-8,
                             budget=60.0):
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     par = SpectralParam(lam=60j)
     densities = [
@@ -342,8 +330,8 @@ def check_planted_roundtrip(n_plants=100, seed=20260810, tol=1e-8,
 
 def check_maass_self_consistency(cache_dir=None, solve_missing=True,
                                  budget=300.0, seed=20260810):
-    t0 = time.time()
-    cache_dir = cache_dir or default_cache_dir()
+    t0 = time.perf_counter()
+    cache_dir = eigen.resolve_cache_dir(cache_dir)
     forms = acceptance_forms(cache_dir, solve_missing,
                              brackets=ACCEPTANCE_BRACKETS[:1])
     if forms is None:
@@ -386,12 +374,12 @@ def _maass_period_tables(forms, t_max=64):
     for form in forms:
         phi = eigen.as_eigenfunction(form)
         par = SpectralParam.from_r(form.R)
-        prof_g = restrict(phi, geo, grid=2048, exact=True)
+        prof_g = restrict(phi, geo, grid=2048)
         tb_g = fourier_periods(prof_g, n_range)
         extract_coefficients(tb_g, density_b(par, geo.q, n_range),
                              threshold=1e-10)
         geo_tables.append(tb_g)
-        prof_c = restrict(phi, circ, grid=2048, exact=True)
+        prof_c = restrict(phi, circ, grid=2048)
         tb_c = fourier_periods(prof_c, n_range)
         extract_coefficients(tb_c, density_c(par, circ.g, n_range),
                              threshold=1e-10)
@@ -402,8 +390,8 @@ def _maass_period_tables(forms, t_max=64):
 def check_average_bound_maass(cache_dir=None, solve_missing=True,
                               budget=900.0, t_grid=(8, 16, 32, 64),
                               variation_limit=3.0):
-    t0 = time.time()
-    cache_dir = cache_dir or default_cache_dir()
+    t0 = time.perf_counter()
+    cache_dir = eigen.resolve_cache_dir(cache_dir)
     forms = acceptance_forms(cache_dir, solve_missing)
     if forms is None:
         return _finish("average-bound-boundedness", budget, t0, True,
@@ -442,7 +430,7 @@ def check_average_bound_maass(cache_dir=None, solve_missing=True,
 # --------------------------------------------------------------- check 10
 
 def check_test_vector_constants(budget=120.0, t_values=(10.0, 50.0, 100.0)):
-    t0 = time.time()
+    t0 = time.perf_counter()
     norm_bad = 0.0
     c2_at = {}
     for T in t_values:

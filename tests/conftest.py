@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from geoperiods import eigen
+from geoperiods import eigen, verify
 
 # Solved forms are cached on disk so repeated test runs skip the solver.
 # Point GEOPERIODS_CACHE somewhere persistent to share the cache with the
@@ -12,21 +12,11 @@ CACHE_DIR = os.environ.get(eigen.CACHE_ENV_VAR,
                                         "form_cache"))
 
 
-def get_form(bracket, parity="auto"):
-    for p in ("even", "odd") if parity == "auto" else (parity,):
-        path = eigen.cache_path(CACHE_DIR, bracket, p, 22)
-        if os.path.exists(path):
-            return eigen.load_form(path)
-    form = eigen.hejhal_solve(bracket, parity=parity)
-    eigen.save_form(form, eigen.cache_path(CACHE_DIR, bracket, form.parity,
-                                           form.M0))
-    return form
-
-
 @pytest.fixture(scope="session")
 def first_form():
-    """The lowest cusp form on the modular surface (R ~ 9.5337)."""
-    return get_form((9.0, 10.0))
+    """The lowest cusp form on the modular surface (R ~ 9.5337), read from
+    the cache or solved and cached."""
+    return verify.acceptance_forms(CACHE_DIR, brackets=[(9.0, 10.0)])[0]
 
 
 @pytest.fixture(scope="session")

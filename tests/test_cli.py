@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import os
+import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import geoperiods
+from geoperiods import eigen
 from geoperiods.cli import RunConfig
 
 from conftest import CACHE_DIR
@@ -141,3 +145,47 @@ def test_maass_sweep_from_cache(tmp_path):
     assert "summary.json" in files
     assert any(f.startswith("periods_geodesic") for f in files)
     assert any(f.startswith("periods_circle") for f in files)
+
+
+def test_non_default_m0_record_found_by_sweep_and_verify(tmp_path, first_form):
+    # the R ~ 9.53 form saved only as an M0 = 30 record (zero-padded
+    # coefficients, so the form itself is unchanged)
+    cache = tmp_path / "cache"
+    padded = dataclasses.replace(first_form, M0=30, coefficients=np.pad(
+        first_form.coefficients, (0, 30 - first_form.M0)))
+    eigen.save_form(padded, eigen.cache_path(cache, (9.0, 10.0),
+                                             padded.parity, 30))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"recipe": "maass-restriction",
+                               "brackets": [[9.0, 10.0]],
+                               "t_grid": [4, 8, 16],
+                               "n_range": [-30, 30],
+                               "checks": ["maass-solver-self-consistency"],
+                               "cache_dir": str(cache),
+                               "out_dir": "out"}))
+    res = run_cli(["--config", str(cfg), "sweep"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert any(f.startswith("periods_geodesic")
+               for f in os.listdir(tmp_path / "out"))
+    res = run_cli(["--config", str(cfg), "verify"], tmp_path)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "[PASS] maass-solver-self-consistency" in res.stdout
+
+
+def test_outputs_follow_umask(tmp_path, first_form):
+    record = tmp_path / "cache" / "form.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"recipe": "sphere-sharpness",
+                               "sphere_degrees": [10, 40],
+                               "out_dir": "out"}))
+    old = os.umask(0o022)
+    try:
+        eigen.save_form(first_form, record)
+        res = run_cli(["--config", str(cfg), "sweep"], tmp_path)
+    finally:
+        os.umask(old)
+    assert res.returncode == 0, res.stderr
+    out = tmp_path / "out"
+    assert sorted(os.listdir(out)) == ["sphere_sharpness.csv", "summary.json"]
+    for path in (record, out / "sphere_sharpness.csv", out / "summary.json"):
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644, path

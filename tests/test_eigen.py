@@ -1,13 +1,21 @@
+import dataclasses
+import glob
+import os
+
 import numpy as np
 import pytest
 
 from geoperiods import eigen
 from geoperiods.eigen import (AccuracyLossError, NoEigenvalueError,
-                              evaluate, laplace_residual, pullback,
-                              sphere_harmonic, torus_mode)
+                              ReductionError, evaluate, laplace_residual,
+                              pullback, sphere_harmonic, torus_mode)
 from geoperiods.quad import integrate_periodic
+from geoperiods.specfun import bessel_k_imag
 
 RNG = np.random.default_rng(13)
+
+COMMITTED_RECORDS = sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), "..", "form_cache", "maass_*.json")))
 
 
 # ------------------------------------------------------------------ sphere
@@ -116,6 +124,41 @@ def test_pullback_fundamental_domain():
         assert abs(w.real) <= 0.5 + 1e-12
         assert abs(w) >= 1.0 - 1e-12
         assert w.imag >= np.sqrt(3) / 2 - 1e-9
+
+
+def test_pullback_gives_up_after_max_steps():
+    with pytest.raises(ReductionError):
+        pullback(0.1 + 0.1j, max_steps=1)
+
+
+@pytest.mark.parametrize("record", COMMITTED_RECORDS, ids=os.path.basename)
+def test_kappa_table_matches_direct_series(record):
+    # the cubic K_iR table against the Fourier-Bessel series summed with
+    # bessel_k_imag itself, at the same pulled-back points
+    form = eigen.load_form(record)
+    rng = np.random.default_rng(20260810)
+    z = rng.uniform(-0.5, 0.5, 40) + 1j * rng.uniform(0.87, 3.0, 40)
+    w = np.array([pullback(p) for p in z])
+    n = np.arange(1, len(form.coefficients) + 1)
+    osc = np.cos if form.parity == "even" else np.sin
+    terms = (bessel_k_imag(form.R, 2 * np.pi * np.outer(w.imag, n))
+             * osc(2 * np.pi * np.outer(w.real, n)))
+    direct = form.l2_scale * np.sqrt(w.imag) * (terms @ form.coefficients)
+    err = np.max(np.abs(form.value(z) - direct))
+    assert err <= 1e-9 * np.max(np.abs(direct))
+
+
+def test_find_form_prefers_highest_m0(tmp_path, first_form):
+    # the same form under two truncations, its coefficients zero-padded
+    for m0 in (first_form.M0, first_form.M0 + 8):
+        padded = dataclasses.replace(first_form, M0=m0, coefficients=np.pad(
+            first_form.coefficients, (0, m0 - first_form.M0)))
+        eigen.save_form(padded, eigen.cache_path(
+            tmp_path, first_form.bracket, first_form.parity, m0))
+    found = eigen.find_form(str(tmp_path), first_form.bracket)
+    assert found.M0 == first_form.M0 + 8
+    assert found.R == first_form.R
+    assert eigen.find_form(str(tmp_path), (11.0, 11.5)) is None
 
 
 def test_first_form_eigenvalue_window(first_form):

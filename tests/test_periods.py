@@ -6,8 +6,7 @@ from geoperiods.hypgeom import GroupElement
 from geoperiods.modelrep import SpectralParam, density_b, density_c
 from geoperiods.periods import (RestrictionProfile, SphereEquator,
                                 StructuralInconsistencyError, TorusGeodesic,
-                                check_average_bound, power_law_constant,
-                                extract_coefficients,
+                                check_average_bound, extract_coefficients,
                                 fit_restriction_exponent, periods, restrict)
 
 RNG = np.random.default_rng(17)
@@ -233,8 +232,6 @@ def test_fit_exponent_sphere_quarter():
     slope, const, resid = fit_restriction_exponent(pairs)
     assert abs(slope - 0.25) < 0.02
     assert const > 0
-    c = power_law_constant(pairs, 0.25)
-    assert all(p <= c * mu ** 0.25 + 1e-12 for mu, p in pairs)
 
 
 def test_fit_exponent_zonal_below_quarter():
