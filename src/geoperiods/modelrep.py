@@ -34,6 +34,7 @@ __all__ = [
     "DegenerateCircleError",
     "k_fixed_vector",
     "pi_action",
+    "k_fixed_functional",
     "model_functional",
     "DensityTable",
     "density_b",
@@ -163,51 +164,59 @@ def pi_action(param: SpectralParam, g: GroupElement, v: ModelVector) -> ModelVec
 # ---------------------------------------------------------------------------
 
 
-def _functional_k_fixed(lam: complex, s: complex, floor=1e-14,
-                        pts_per_cycle=8.0, refine=True):
-    """Kernel paired with the rotation-invariant vector, after x = e^u:
-    2 int (2 cosh u)^{-1/2} exp(i[(sigma-T)u/2 + (T/2)ln(1+e^{2u})]) du."""
-    T = lam.imag
-    sigma = s.imag
-    U = 2.0 * np.log(2.0 / floor)
-    fmax = (abs(sigma - T) / 2.0 + abs(T)) / (2.0 * np.pi)
+def k_fixed_functional(param: SpectralParam, step: float, ns) -> np.ndarray:
+    """The functional on the rotation-invariant vector at s = i step n for
+    every integer n in ``ns``.
 
-    def amp_ph(u):
-        amp = 1.0 / np.sqrt(2.0 * np.cosh(u))
-        l1p = np.where(u > 0,
-                       2.0 * u + np.log1p(np.exp(-2.0 * np.abs(u))),
-                       np.log1p(np.exp(2.0 * np.minimum(u, 0.0))))
-        return amp, 0.5 * (sigma - T) * u + 0.5 * T * l1p
+    After x = e^u the integrand is 2 (2 cosh u)^{(lam-1)/2} e^{i sigma u/2},
+    analytic and decaying like e^{-|u|/2}, so the trapezoid sum on the
+    centred grid u_j = j h is spectrally accurate.  h = 2 pi / (dw M) with
+    dw = |step|/2 makes every lattice phase the exact M-th root of unity
+    e^{2 pi i n j / M}: the samples fold into M bins by j mod M and one
+    inverse FFT of size M gives every entry, with no large phase rounded.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    dw = abs(float(step)) / 2.0
+    band = dw * np.max(np.abs(ns), initial=0)
+    # the transform of (2 cosh u)^{(lam-1)/2} falls like e^{-pi w/2} past
+    # w = |lam|/2, so 24 more units put every alias below 1e-16
+    width = band + abs(param.lam) / 2.0 + 24.0
+    if band == 0.0:
+        dw = width                      # every character is trivial: one bin
+    M = int(np.ceil(width / dw))
+    h = 2.0 * np.pi / (dw * M)
+    # truncate where the amplitude (2 cosh u)^{-1/2} drops below 1e-16
+    J = int(np.ceil(2.0 * np.log(1e16) / h))
+    j = np.arange(-J, J + 1)
+    au = np.abs(j * h)
+    g = np.exp(0.5 * (param.lam - 1.0) * (au + np.log1p(np.exp(-2.0 * au))))
+    if M <= len(j):
+        r = j % M
+        folded = (np.bincount(r, weights=g.real, minlength=M)
+                  + 1j * np.bincount(r, weights=g.imag, minlength=M))
+        sums = M * np.fft.ifft(folded)[ns % M]
+    else:
+        # fewer samples than bins (a short lattice step): sum directly
+        sums = np.exp(0.5j * float(step) * np.outer(ns, j * h)) @ g
+    return 2.0 * h * sums
 
-    res = quad.oscillatory_integral(amp_ph, -U, U, fmax,
-                                    pts_per_cycle=pts_per_cycle,
-                                    refine=refine)
-    return quad.QuadratureResult(value=2.0 * res.value,
-                                 error_estimate=2.0 * res.error_estimate,
-                                 evaluations=res.evaluations)
 
-
-def model_functional(param: SpectralParam, s: complex, v: ModelVector,
-                     return_result=False, floor=1e-14, pts_per_cycle=8.0,
-                     refine=True):
+def model_functional(param: SpectralParam, s: complex, v: ModelVector):
     """Equivariant functional: int_R |x|^{-1/2-lam/2+s/2} v(x) dx.
 
-    Unitary characters only (Re s = 0).  Uses a closed oscillatory path
-    for the rotation-invariant vector, direct panels for compactly
-    supported vectors off the kernel singularity, and a logarithmic
-    substitution otherwise.  ``floor``/``pts_per_cycle``/``refine`` trade
-    absolute accuracy against node count.
+    Unitary characters only (Re s = 0).  The rotation-invariant vector
+    goes through ``k_fixed_functional`` as a one-point lattice; compactly
+    supported vectors off the kernel singularity use direct oscillatory
+    panels, and other vectors a logarithmic substitution.
     """
     s = complex(s)
     if abs(s.real) > 1e-12:
         raise DomainError("model_functional: unitary characters only (Re s = 0)")
-    lam = param.lam
-    beta = 0.5 * (s.imag - lam.imag)
+    beta = 0.5 * (s.imag - param.lam.imag)
 
     if v.k_fixed:
-        res = _functional_k_fixed(lam, s, floor=floor,
-                                  pts_per_cycle=pts_per_cycle, refine=refine)
-    elif v.support is not None and v.support[0] > 0:
+        return k_fixed_functional(param, s.imag, [1 if s.imag else 0])[0]
+    if v.support is not None and v.support[0] > 0:
         # kernel |x|^{-1/2} e^{i beta ln x} times (v(x)+v(-x)) on the support
         lo, hi = v.support
         fmax = (abs(beta) * max(1.0 / lo, 1.0) + v.phase_bandwidth) / (2 * np.pi)
@@ -217,21 +226,17 @@ def model_functional(param: SpectralParam, s: complex, v: ModelVector,
             amp = np.abs(vals) / np.sqrt(x)
             return amp, beta * np.log(x) + np.angle(vals + 0j)
 
-        res = quad.oscillatory_integral(amp_ph, lo, hi, fmax)
-    else:
-        # generic: x = e^u on each half line
-        U_hi = 50.0
-        U_lo = -60.0
-        fmax = (abs(beta) + v.phase_bandwidth) / (2 * np.pi)
+        return quad.oscillatory_integral(amp_ph, lo, hi, fmax).value
+    # generic: x = e^u on each half line, u in [-60, 50]
+    fmax = (abs(beta) + v.phase_bandwidth) / (2 * np.pi)
 
-        def amp_ph(u):
-            x = np.exp(u)
-            vals = v(x) + (v(x) if v.even else v(-x))
-            w = np.exp(0.5 * u) * vals
-            return np.abs(w), beta * u + np.angle(w + 0j)
+    def amp_ph(u):
+        x = np.exp(u)
+        vals = v(x) + (v(x) if v.even else v(-x))
+        w = np.exp(0.5 * u) * vals
+        return np.abs(w), beta * u + np.angle(w + 0j)
 
-        res = quad.oscillatory_integral(amp_ph, U_lo, U_hi, max(fmax, 0.5))
-    return res if return_result else res.value
+    return quad.oscillatory_integral(amp_ph, -60.0, 50.0, max(fmax, 0.5)).value
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +436,7 @@ def test_vector(T: float, param: SpectralParam, profile=None) -> ModelVector:
                        phase_bandwidth=0.0)
 
 
-def vector_norm_sq(v: ModelVector, xmax=None) -> float:
+def vector_norm_sq(v: ModelVector) -> float:
     """Unitary-model squared norm of a line vector: (1/pi) int_R |v|^2 dx
     (equals the circle-model (1/2pi) int |f|^2 dphi)."""
     if v.support is not None:

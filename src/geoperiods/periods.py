@@ -267,7 +267,6 @@ class AverageBoundReport:
     max_growth_t: float
     max_growth_forms: float
     variation_t: float
-    variation_forms: float
     passed: bool
 
     def summary_lines(self):
@@ -313,12 +312,10 @@ def check_average_bound(tables, t_grid, growth_limit=3.0) -> AverageBoundReport:
     g_t = max(growth(list(row.values())) for row in ratios.values())
     rows = list(ratios.values())
     g_f = 1.0
-    var_f = 1.0
     for t in map(float, t_grid):
         col = [row[t] for row in rows if row[t] > 0]
         if len(col) >= 2:
             g_f = max(g_f, max(col) / min(col))
-            var_f = max(var_f, max(col) / min(col))
     all_vals = [v for row in ratios.values() for v in row.values() if v > 0]
     var_t = max((max(row.values()) / min(v for v in row.values() if v > 0))
                 for row in ratios.values())
@@ -326,7 +323,7 @@ def check_average_bound(tables, t_grid, growth_limit=3.0) -> AverageBoundReport:
         t_grid=tuple(float(t) for t in t_grid), ratios=ratios,
         empirical_constant=max(all_vals) if all_vals else np.nan,
         max_growth_t=g_t, max_growth_forms=g_f,
-        variation_t=var_t, variation_forms=var_f,
+        variation_t=var_t,
         passed=(g_t <= growth_limit and g_f <= growth_limit))
 
 

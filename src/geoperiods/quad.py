@@ -4,6 +4,10 @@ Three workhorses: adaptive Gauss-Kronrod on (possibly infinite) intervals
 with declared algebraic endpoint/interior singularities, a doubling
 trapezoid rule for smooth periodic integrands on [0, 1), and a composite
 oscillatory integrator whose node density follows the phase derivative.
+``modelrep.model_functional`` uses the oscillatory integrator for
+compactly supported vectors and for generic vectors after x = e^u; the
+rotation-invariant vector has its own kernel,
+``modelrep.k_fixed_functional``, a trapezoid sum folded into one FFT.
 ``analyze_phase`` locates and classifies stationary points of a phase
 function.  No pipeline calls it: the density tables tag regimes by fixed
 fractions of the turning frequency, and the tests use ``analyze_phase``
@@ -259,20 +263,19 @@ def periodic_fourier(f, n_max, rel_tol=1e-11, n_start=None, max_doublings=12):
 _gl32 = np.polynomial.legendre.leggauss(32)
 
 
-def oscillatory_integral(amplitude_phase, a, b, freq_max, pts_per_cycle=8.0,
-                         refine=True):
+def oscillatory_integral(amplitude_phase, a, b, freq_max):
     """``int_a^b A(u) e^{i phi(u)} du`` by composite 32-point Gauss panels.
 
     ``amplitude_phase(u) -> (A, phi)`` evaluates amplitude and phase on an
     array; ``freq_max`` bounds |phi'|/(2 pi) so panels resolve the fastest
-    oscillation.  One refinement pass (x1.5 panels) supplies the error
-    estimate.
+    oscillation at 8 points per cycle.  One refinement pass (x1.5 panels)
+    supplies the error estimate.
     """
     x32, w32 = _gl32
 
     def run(scale):
         npan = int(max(4, np.ceil((b - a) * max(freq_max, 0.25)
-                                  * pts_per_cycle * scale / 32.0)))
+                                  * 8.0 * scale / 32.0)))
         edges = np.linspace(a, b, npan + 1)
         h = 0.5 * np.diff(edges)
         m = 0.5 * (edges[1:] + edges[:-1])
@@ -283,8 +286,6 @@ def oscillatory_integral(amplitude_phase, a, b, freq_max, pts_per_cycle=8.0,
         return np.sum(h * (f @ w32)), npan * 32
 
     v1, n1 = run(1.0)
-    if not refine:
-        return QuadratureResult(value=v1, error_estimate=np.nan, evaluations=n1)
     v2, n2 = run(1.5)
     return QuadratureResult(value=v2, error_estimate=abs(v2 - v1),
                             evaluations=n1 + n2)

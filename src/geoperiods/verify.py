@@ -17,8 +17,8 @@ from . import eigen, quad
 from .hypgeom import GroupElement, circle_orbit, geodesic_orbit_from_matrix
 from .modelrep import (C1_NORM_SLOPE, SpectralParam, check_regime_envelopes,
                        circle_edge_constant, density_b, density_c,
-                       fit_regime_constants, k_fixed_vector, model_functional,
-                       test_vector, vector_norm_sq)
+                       fit_regime_constants, k_fixed_functional,
+                       model_functional, test_vector, vector_norm_sq)
 from .specfun import table_integral
 from .periods import (RestrictionProfile, SphereEquator, TorusGeodesic,
                       check_average_bound, extract_coefficients,
@@ -86,8 +86,9 @@ def acceptance_forms(cache_dir, solve_missing=True, brackets=ACCEPTANCE_BRACKETS
 # --------------------------------------------------------------- check 1
 
 def check_gamma_formula(rel_tol=1e-6, floor=3e-8, budget=120.0):
-    """Closed Gamma form of the geodesic density against direct singular
-    quadrature of the functional on the rotation-invariant vector.
+    """Closed Gamma form of the geodesic density against direct quadrature
+    of the functional on the rotation-invariant vector, one
+    ``k_fixed_functional`` lattice per table.
 
     Entries whose closed-form magnitude sits below ``floor`` cannot be
     checked relatively in double precision (the quadrature's attainable
@@ -101,23 +102,18 @@ def check_gamma_formula(rel_tol=1e-6, floor=3e-8, budget=120.0):
     n_rel = n_floor = 0
     for lam_abs in (10.0, 20.0, 40.0, 80.0):
         par = SpectralParam(lam=1j * lam_abs)
-        e0 = k_fixed_vector(par)
         for q in (0.5, 1.0 / np.log(2.0), 2.0):
             table = density_b(par, q, (0, 200))
-            step = table.meta["lattice_step"]
-            for n in range(0, 201):
-                closed = table.entry(n)
+            direct = k_fixed_functional(par, table.meta["lattice_step"],
+                                        table.n_values)
+            for n, closed, d in zip(table.n_values, table.entries, direct):
                 if abs(closed) >= floor:
-                    d = model_functional(par, 1j * step * n, e0)
                     rel = abs(closed - d) / abs(closed)
                     n_rel += 1
                     if rel > worst_rel:
-                        worst_rel, worst_at = rel, (lam_abs, q, n)
+                        worst_rel, worst_at = rel, (lam_abs, q, int(n))
                 else:
-                    # below the double-precision floor: a light absolute pass
-                    d = model_functional(par, 1j * step * n, e0,
-                                         floor=1e-9, pts_per_cycle=6.0,
-                                         refine=False)
+                    # below the double-precision floor: checked absolutely
                     n_floor += 1
                     if abs(d) > 1e-7:
                         floor_bad += 1
@@ -401,9 +397,9 @@ def check_average_bound_maass(cache_dir=None, solve_missing=True,
     rep_c = check_average_bound(circ_tables, t_grid)
 
     var_ok = (rep_g.variation_t <= variation_limit
-              and rep_g.variation_forms <= variation_limit
+              and rep_g.max_growth_forms <= variation_limit
               and rep_c.variation_t <= variation_limit
-              and rep_c.variation_forms <= variation_limit)
+              and rep_c.max_growth_forms <= variation_limit)
     # restriction-norm power laws with single fitted constants
     mus = [tb.mu for tb in geo_tables]
     p_geo = [tb.length * tb.mean_square for tb in geo_tables]
@@ -418,9 +414,9 @@ def check_average_bound_maass(cache_dir=None, solve_missing=True,
     const_ok = all(np.isfinite([c_geo, c_cir, c_unif]))
     passed = var_ok and const_ok and rep_g.passed and rep_c.passed
     details = (f"geodesic ratio variation: T-axis {rep_g.variation_t:.2f}x, "
-               f"forms {rep_g.variation_forms:.2f}x; circle: "
+               f"forms {rep_g.max_growth_forms:.2f}x; circle: "
                f"T-axis {rep_c.variation_t:.2f}x, forms "
-               f"{rep_c.variation_forms:.2f}x (limit {variation_limit}x); "
+               f"{rep_c.max_growth_forms:.2f}x (limit {variation_limit}x); "
                f"fitted constants: p<=C mu^(1/4) C={c_geo:.3g}, "
                f"p<=C mu^(1/6) C={c_cir:.3g}, |p0|<=C'' C''={c_unif:.3g}")
     return _finish("average-bound-boundedness", budget, t0, passed, details,

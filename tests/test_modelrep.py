@@ -6,9 +6,11 @@ from geoperiods.modelrep import (BUMP_SQ_INTEGRAL, C1_NORM_SLOPE,
                                  DegenerateCircleError, SpectralParam, bump,
                                  check_regime_envelopes, circle_edge_constant,
                                  density_b, density_c, density_to_csv,
-                                 fit_regime_constants, k_fixed_vector,
-                                 model_functional, pi_action, vector_norm_sq)
+                                 fit_regime_constants, k_fixed_functional,
+                                 k_fixed_vector, model_functional, pi_action,
+                                 vector_norm_sq)
 from geoperiods.modelrep import test_vector as make_test_vector
+from geoperiods import quad, verify
 from geoperiods.quad import analyze_phase, integrate_adaptive
 from geoperiods.specfun import DomainError, conical_legendre, log_gamma
 
@@ -156,6 +158,65 @@ def test_functional_rejects_nonunitary():
     par = SpectralParam(lam=5j)
     with pytest.raises(DomainError):
         model_functional(par, 0.5, k_fixed_vector(par))
+
+
+# ------------------------------------------------------ k-fixed functional
+
+@pytest.mark.parametrize("lam_abs, step, n", [
+    (10.0, 1.0, 0), (80.0, 1.0, 0),          # sigma = 0
+    (20.0, -np.pi, 3),                       # sigma < 0
+    (0.0, 1.0, 5),                           # lam = 0
+    (40.0, 41.0, 1),                         # sigma near |lam|
+    (20.0, 0.01, 3),                         # short step: no folding
+    (12.0, -37.3, 1),                        # deep tail, below the floor
+])
+def test_k_fixed_functional_against_mpmath(lam_abs, step, n):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        lam = mpmath.mpc(0, lam_abs)
+        sig = mpmath.mpf(step) * n
+        ref = complex(mpmath.gamma((1 - lam + 1j * sig) / 4)
+                      * mpmath.gamma((1 - lam - 1j * sig) / 4)
+                      / mpmath.gamma((1 - lam) / 2))
+    d = k_fixed_functional(SpectralParam(lam=1j * lam_abs), step, [n])[0]
+    if abs(ref) >= 3e-8:
+        assert abs(d - ref) <= 1e-12 * abs(ref)
+    else:
+        assert abs(d - ref) <= 1e-15
+
+
+def test_k_fixed_functional_symmetric_in_n():
+    ns = np.arange(-200, 201)
+    vals = k_fixed_functional(SpectralParam(lam=40j), 2 * np.pi / np.log(2), ns)
+    assert np.max(np.abs(vals - vals[::-1])) <= 1e-15
+
+
+def test_k_fixed_functional_one_point_matches_lattice():
+    par = SpectralParam(lam=20j)
+    step = 2 * np.pi * 0.5
+    full = k_fixed_functional(par, step, np.arange(0, 60))
+    # the grids differ with the lattice's band, so the two sums agree to
+    # the rounding floor of the integrand scale, not bit for bit
+    for n in (0, 1, 7, 13, 40):
+        one = k_fixed_functional(par, step, [n])[0]
+        assert abs(one - full[n]) <= 1e-14
+
+
+def test_model_functional_on_k_vector_is_the_kernel():
+    par = SpectralParam(lam=12j)
+    for sigma in (0.0, 2.5, -37.3):
+        d = model_functional(par, 1j * sigma, k_fixed_vector(par))
+        n = 1 if sigma else 0
+        assert d == k_fixed_functional(par, sigma, [n])[0]
+
+
+def test_gamma_check_needs_no_oscillatory_panels(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("criterion 01 left the batch kernel")
+
+    monkeypatch.setattr(quad, "oscillatory_integral", refuse)
+    res = verify.check_gamma_formula()
+    assert res.passed, res.details
 
 
 # ---------------------------------------------------------------- density b
