@@ -12,8 +12,9 @@ from .modelrep import (SpectralParam, ModelVector, k_fixed_vector, pi_action,
                        test_vector)
 from .eigen import (Eigenfunction, MaassForm, sphere_harmonic, torus_mode,
                     hejhal_solve, evaluate, as_eigenfunction)
-from .periods import (RestrictionProfile, PeriodTable, restrict, periods,
-                      extract_coefficients, check_average_bound,
-                      fit_restriction_exponent, SphereEquator, TorusGeodesic)
+from .periods import (RestrictionProfile, PeriodTable, restrict,
+                      extract_coefficients, coefficient_table,
+                      check_average_bound, fit_restriction_exponent,
+                      SphereEquator, TorusGeodesic)
 
 __version__ = "0.1.0"

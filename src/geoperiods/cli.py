@@ -21,9 +21,8 @@ from . import eigen, verify
 from .eigen import _atomic_write
 from .hypgeom import GroupElement, circle_orbit, geodesic_orbit_from_matrix
 from .modelrep import (SpectralParam, density_b, density_c, density_to_csv)
-from .periods import (SphereEquator, check_average_bound,
-                      extract_coefficients, fit_restriction_exponent,
-                      period_table_to_csv, periods as fourier_periods,
+from .periods import (SphereEquator, check_average_bound, coefficient_table,
+                      fit_restriction_exponent, period_table_to_csv,
                       report_to_json, restrict)
 
 
@@ -130,16 +129,8 @@ def _sweep_maass(cfg: RunConfig, cache, out):
 
     def pipeline(job):
         form, curve = job
-        phi = eigen.as_eigenfunction(form)
-        par = SpectralParam.from_r(form.R)
-        prof = restrict(phi, curve, grid=2048)
-        table = fourier_periods(prof, tuple(cfg.n_range))
-        if hasattr(curve, "q"):
-            dens = density_b(par, curve.q, tuple(cfg.n_range))
-        else:
-            dens = density_c(par, curve.g, tuple(cfg.n_range))
-        extract_coefficients(table, dens, threshold=threshold)
-        return table
+        return coefficient_table(eigen.as_eigenfunction(form), curve,
+                                 tuple(cfg.n_range), threshold=threshold)
 
     jobs = [(f, c) for c in curves for f in forms]
     if cfg.jobs > 1:
@@ -275,8 +266,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if args.jobs:
+        if args.jobs is not None:
             cfg.jobs = args.jobs
+        cfg.validate()
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -236,9 +236,6 @@ class MaassForm:
     def mu(self) -> float:
         return 0.25 + self.R * self.R
 
-    def fourier_coefficients(self) -> dict:
-        return {n + 1: float(c) for n, c in enumerate(self.coefficients)}
-
     def _ensure_table(self):
         if self._table is None:
             u_max = 60.0 + 2.0 * self.R
@@ -268,12 +265,6 @@ class MaassForm:
         total *= self.l2_scale
         total = total.reshape(np.shape(z)) if np.ndim(z) else float(total[0])
         return total
-
-
-def _maass_eigenfunction(form: MaassForm) -> Eigenfunction:
-    return Eigenfunction(surface="modular", mu=form.mu, spectral_r=form.R,
-                         evaluator=form.value,
-                         label=f"maass(R={form.R:.6f},{form.parity})")
 
 
 class _Collocation:
@@ -578,4 +569,6 @@ def load_form(path) -> MaassForm:
 
 
 def as_eigenfunction(form: MaassForm) -> Eigenfunction:
-    return _maass_eigenfunction(form)
+    return Eigenfunction(surface="modular", mu=form.mu, spectral_r=form.R,
+                         evaluator=form.value,
+                         label=f"maass(R={form.R:.6f},{form.parity})")

@@ -255,14 +255,12 @@ class CircleOrbit:
         return float(2.0 * np.pi * np.sinh(self.radius))
 
     def points(self, theta):
+        """h k(2 pi theta) g . i, with k(phi) = [[c, -s], [s, c]] acting in
+        closed form on w = g . i."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        gi = mobius_act(self.g, 1j)
-        out = np.empty(theta.shape, dtype=complex)
-        hm = self.h.mat
-        for i, t in enumerate(theta):
-            k = rotation(2.0 * np.pi * t)
-            out[i] = mobius_act(GroupElement(hm @ k.mat @ self.g.mat), 1j)
-        return out
+        w = mobius_act(self.g, 1j)
+        c, s = np.cos(2.0 * np.pi * theta), np.sin(2.0 * np.pi * theta)
+        return mobius_act(self.h, (c * w - s) / (s * w + c))
 
     def curve_id(self) -> str:
         return f"circle(center={self.center:.6g}, radius={self.radius:.6g})"

@@ -284,16 +284,20 @@ class DensityTable:
         return bool(ok)
 
 
-def _regime_tag(sig, abs_lam, frac):
-    if sig <= (1.0 - frac) * abs_lam:
+# half-width of the transition regime, as a fraction of the edge frequency
+_SIGMA_FRAC = 0.1
+
+
+def _regime_tag(sig, abs_lam):
+    if sig <= (1.0 - _SIGMA_FRAC) * abs_lam:
         return "bulk"
-    if sig < (1.0 + frac) * abs_lam:
+    if sig < (1.0 + _SIGMA_FRAC) * abs_lam:
         return "transition"
     return "tail"
 
 
-def density_b(param: SpectralParam, q: float, n_range, lattice_step=None,
-              sigma_frac=0.1) -> DensityTable:
+def density_b(param: SpectralParam, q: float, n_range,
+              lattice_step=None) -> DensityTable:
     """Geodesic spectral density along the character lattice.
 
     The lattice step (imaginary part of s per unit n) defaults to 2 pi q,
@@ -318,12 +322,12 @@ def density_b(param: SpectralParam, q: float, n_range, lattice_step=None,
     entries = np.exp(lg)
     log_abs2 = 2.0 * lg.real
     abs_sig = np.abs(sig)
-    regime = [_regime_tag(s_, param.abs_lam, sigma_frac) for s_ in abs_sig]
+    regime = [_regime_tag(s_, param.abs_lam) for s_ in abs_sig]
     return DensityTable(kind="geodesic-b", param=param, n_values=ns,
                         entries=entries, sigma=abs_sig, log_abs2=log_abs2,
                         regime=regime,
                         meta={"q": q, "lattice_step": step,
-                              "sigma_frac": sigma_frac,
+                              "sigma_frac": _SIGMA_FRAC,
                               "step_over_q": step / q})
 
 
@@ -352,8 +356,7 @@ def circle_edge_constant(g: GroupElement, grid=65536) -> float:
     return 0.5 * float(np.max(np.abs(d)))
 
 
-def density_c(param: SpectralParam, g: GroupElement, n_range,
-              sigma_frac=0.1) -> DensityTable:
+def density_c(param: SpectralParam, g: GroupElement, n_range) -> DensityTable:
     """Circle spectral density: Fourier coefficients of W^{(lam-1)/2}.
 
     W is pi-periodic in the geometric angle, so the full theta-loop (which
@@ -385,11 +388,11 @@ def density_c(param: SpectralParam, g: GroupElement, n_range,
     sig = 2.0 * np.pi * np.abs(ns)
     with np.errstate(divide="ignore"):
         log_abs2 = 2.0 * np.log(np.abs(entries))
-    regime = [_regime_tag(s_, c_edge * param.abs_lam, sigma_frac) for s_ in sig]
+    regime = [_regime_tag(s_, c_edge * param.abs_lam) for s_ in sig]
     return DensityTable(kind="circle-c", param=param, n_values=ns,
                         entries=entries, sigma=sig, log_abs2=log_abs2,
                         regime=regime,
-                        meta={"c_edge": c_edge, "sigma_frac": sigma_frac,
+                        meta={"c_edge": c_edge, "sigma_frac": _SIGMA_FRAC,
                               "fourier_error": err, "evaluations": nev})
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .eigen import Eigenfunction, _atomic_write, evaluate
 from .hypgeom import CircleOrbit, GeodesicOrbit
-from .modelrep import DensityTable
+from .modelrep import DensityTable, SpectralParam, density_b, density_c
 
 __all__ = [
     "SphereEquator",
@@ -32,6 +32,7 @@ __all__ = [
     "PeriodTable",
     "periods",
     "extract_coefficients",
+    "coefficient_table",
     "StructuralInconsistencyError",
     "AverageBoundReport",
     "check_average_bound",
@@ -214,16 +215,14 @@ def periods(profile: RestrictionProfile, n_range) -> PeriodTable:
 
 
 def extract_coefficients(table: PeriodTable, density: DensityTable,
-                         threshold=None, odd_consistency_tol=1e-8) -> PeriodTable:
+                         threshold=1e-12, odd_consistency_tol=1e-8) -> PeriodTable:
     """Divide mass-one periods by model-density entries.
 
-    Entries with |density| below ``threshold`` x max|density| (default
-    1e-12) are flagged "near-zero model density" and skipped.  For circle
-    densities the odd periods must vanish along with the odd density
-    entries; a violation raises StructuralInconsistencyError.
+    Entries with |density| below ``threshold`` x max|density| are flagged
+    "near-zero model density" and skipped.  For circle densities the odd
+    periods must vanish along with the odd density entries; a violation
+    raises StructuralInconsistencyError.
     """
-    if threshold is None:
-        threshold = 1e-12
     if table.spectral_r is not None:
         lam_table = 2.0 * table.spectral_r
         if abs(abs(density.param.lam) - lam_table) > 1e-9 * max(1.0, lam_table):
@@ -257,6 +256,27 @@ def extract_coefficients(table: PeriodTable, density: DensityTable,
     table.a = a
     table.flags = flags
     return table
+
+
+def coefficient_table(phi: Eigenfunction, curve, n_range,
+                      threshold=1e-10) -> PeriodTable:
+    """Periods of a modular eigenfunction along a closed geodesic or a
+    circle, with coefficients extracted against the curve's model density.
+
+    The one chain from (form, curve) to a coefficient table: ``restrict``
+    at grid 2048, ``periods`` over ``n_range``, then ``density_b`` at
+    q = 1/ln a for a GeodesicOrbit or ``density_c`` of the radius element
+    for a CircleOrbit, and ``extract_coefficients``.
+    """
+    if not isinstance(curve, (GeodesicOrbit, CircleOrbit)):
+        raise ValueError(f"no model density for curve {curve.curve_id()}")
+    table = periods(restrict(phi, curve, grid=2048), n_range)
+    par = SpectralParam.from_r(phi.spectral_r)
+    if isinstance(curve, GeodesicOrbit):
+        density = density_b(par, curve.q, n_range)
+    else:
+        density = density_c(par, curve.g, n_range)
+    return extract_coefficients(table, density, threshold=threshold)
 
 
 @dataclass(frozen=True)

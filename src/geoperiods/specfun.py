@@ -148,8 +148,9 @@ _NODE_LADDER = np.unique(np.concatenate(
 
 
 def _round_nodes(n):
-    return int(_NODE_LADDER[np.searchsorted(_NODE_LADDER,
-                                            np.minimum(n, _NODE_LADDER[-1]))])
+    """Smallest ladder rung >= n, elementwise (capped at the top rung)."""
+    return _NODE_LADDER[np.searchsorted(_NODE_LADDER,
+                                        np.minimum(n, _NODE_LADDER[-1]))]
 
 
 def _gauss(n):
@@ -178,8 +179,7 @@ def _kappa_contour(R, u):
     rate = u * cd
     smax = np.arccosh(1.0 + 48.0 / np.maximum(rate, 1e-300))
     theta = u * sd * np.sinh(smax) + R * smax
-    n = np.minimum(3e5, np.maximum(256, 0.9 * theta + 128))
-    n = np.array([_round_nodes(v) for v in np.atleast_1d(n)]).reshape(np.shape(n))
+    n = _round_nodes(np.minimum(3e5, np.maximum(256, 0.9 * theta + 128)))
     return delta, sd, cd, rate, smax, n
 
 
@@ -205,7 +205,7 @@ def bessel_k_imag(R, u, node_scale=1.0):
     out = np.empty(uu.shape)
     delta, sd, cd, rate, smax, nn = _kappa_contour(R, uu)
     if node_scale != 1.0:
-        nn = np.array([_round_nodes(v) for v in nn * node_scale])
+        nn = _round_nodes(nn * node_scale)
     pref = np.exp(R * (np.pi / 2 - delta) - rate)
     # one vectorized pass per distinct node count (grids differ via smax)
     for n in np.unique(nn):

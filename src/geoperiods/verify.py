@@ -21,9 +21,9 @@ from .modelrep import (C1_NORM_SLOPE, SpectralParam, check_regime_envelopes,
                        model_functional, test_vector, vector_norm_sq)
 from .specfun import table_integral
 from .periods import (RestrictionProfile, SphereEquator, TorusGeodesic,
-                      check_average_bound, extract_coefficients,
-                      fit_restriction_exponent, periods as fourier_periods,
-                      restrict)
+                      check_average_bound, coefficient_table,
+                      extract_coefficients, fit_restriction_exponent,
+                      periods as fourier_periods, restrict)
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_checks", "acceptance_forms",
            "ACCEPTANCE_GEODESIC", "ACCEPTANCE_CIRCLE"]
@@ -362,27 +362,6 @@ def check_maass_self_consistency(cache_dir=None, solve_missing=True,
 
 # --------------------------------------------------------------- check 9
 
-def _maass_period_tables(forms, t_max=64):
-    geo = geodesic_orbit_from_matrix(GroupElement(ACCEPTANCE_GEODESIC))
-    circ = circle_orbit(*ACCEPTANCE_CIRCLE)
-    n_range = (-int(1.3 * t_max), int(1.3 * t_max))
-    geo_tables, circ_tables = [], []
-    for form in forms:
-        phi = eigen.as_eigenfunction(form)
-        par = SpectralParam.from_r(form.R)
-        prof_g = restrict(phi, geo, grid=2048)
-        tb_g = fourier_periods(prof_g, n_range)
-        extract_coefficients(tb_g, density_b(par, geo.q, n_range),
-                             threshold=1e-10)
-        geo_tables.append(tb_g)
-        prof_c = restrict(phi, circ, grid=2048)
-        tb_c = fourier_periods(prof_c, n_range)
-        extract_coefficients(tb_c, density_c(par, circ.g, n_range),
-                             threshold=1e-10)
-        circ_tables.append(tb_c)
-    return geo_tables, circ_tables
-
-
 def check_average_bound_maass(cache_dir=None, solve_missing=True,
                               budget=900.0, t_grid=(8, 16, 32, 64),
                               variation_limit=3.0):
@@ -392,7 +371,13 @@ def check_average_bound_maass(cache_dir=None, solve_missing=True,
     if forms is None:
         return _finish("average-bound-boundedness", budget, t0, True,
                        "no cached forms and solving disabled", skipped=True)
-    geo_tables, circ_tables = _maass_period_tables(forms, t_max=max(t_grid))
+    phis = [eigen.as_eigenfunction(form) for form in forms]
+    n_max = int(1.3 * max(t_grid))
+    n_range = (-n_max, n_max)
+    geo = geodesic_orbit_from_matrix(GroupElement(ACCEPTANCE_GEODESIC))
+    geo_tables = [coefficient_table(phi, geo, n_range) for phi in phis]
+    circ = circle_orbit(*ACCEPTANCE_CIRCLE)
+    circ_tables = [coefficient_table(phi, circ, n_range) for phi in phis]
     rep_g = check_average_bound(geo_tables, t_grid)
     rep_c = check_average_bound(circ_tables, t_grid)
 

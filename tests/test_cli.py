@@ -10,7 +10,7 @@ import pytest
 
 import geoperiods
 from geoperiods import eigen
-from geoperiods.cli import RunConfig
+from geoperiods.cli import RunConfig, main
 
 from conftest import CACHE_DIR
 
@@ -46,6 +46,12 @@ def test_config_rejects_bad_values():
         RunConfig.from_json(json.dumps({"brackets": [[10.0, 9.0]]}))
     with pytest.raises(ValueError):
         RunConfig.from_json(json.dumps({"no_such_field": 1}))
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_flag_is_validated(jobs, capsys):
+    assert main(["--jobs", jobs, "sweep"]) == 2
+    assert "config error: jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_malformed_config_exits_2(tmp_path):

@@ -178,6 +178,17 @@ def test_circle_points_concyclic():
     assert np.max(radii) - np.min(radii) < 1e-9
 
 
+@pytest.mark.parametrize("radius", [1e-4, 0.8, 1.6])
+def test_circle_points_match_group_product(radius):
+    # the closed-form rotation against the product h k(2 pi theta) g . i
+    orb = circle_orbit(0.2 + 1.1j, radius)
+    theta = RNG.uniform(0, 1, 64)
+    pts = orb.points(theta)
+    ref = np.array([mobius_act(orb.h @ rotation(2 * np.pi * t) @ orb.g, 1j)
+                    for t in theta])
+    assert np.max(np.abs(pts - ref) / np.abs(ref)) < 1e-13
+
+
 def test_circle_small_radius_limit():
     center = 0.5 + 1.5j
     for r in (1e-2, 1e-4):

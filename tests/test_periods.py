@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from geoperiods.eigen import sphere_harmonic, torus_mode
-from geoperiods.hypgeom import GroupElement
+from geoperiods.hypgeom import (GroupElement, circle_orbit,
+                                geodesic_orbit_from_matrix)
 from geoperiods.modelrep import SpectralParam, density_b, density_c
 from geoperiods.periods import (RestrictionProfile, SphereEquator,
                                 StructuralInconsistencyError, TorusGeodesic,
-                                check_average_bound, extract_coefficients,
+                                check_average_bound, coefficient_table,
+                                extract_coefficients,
                                 fit_restriction_exponent, periods, restrict)
 
 RNG = np.random.default_rng(17)
@@ -172,6 +174,39 @@ def test_extract_parameter_mismatch():
     table = periods(prof, (-4, 4))
     with pytest.raises(ValueError):
         extract_coefficients(table, dens)
+
+
+def test_package_attribute_is_the_module():
+    import geoperiods
+    assert geoperiods.periods.restrict is restrict
+
+
+@pytest.mark.parametrize("kind", ["geodesic-b", "circle-c"])
+def test_coefficient_table_is_the_explicit_chain(first_eigenfunction, kind):
+    phi = first_eigenfunction
+    par = SpectralParam.from_r(phi.spectral_r)
+    n_range = (-20, 20)
+    if kind == "geodesic-b":
+        curve = geodesic_orbit_from_matrix(GroupElement([[883, 1428],
+                                                         [546, 883]]))
+        dens = density_b(par, curve.q, n_range)
+    else:
+        curve = circle_orbit(0.2 + 1.1j, 1.6)
+        dens = density_c(par, curve.g, n_range)
+    table = coefficient_table(phi, curve, n_range)
+    ref = extract_coefficients(
+        periods(restrict(phi, curve, grid=2048), n_range), dens,
+        threshold=1e-10)
+    assert table.density.kind == kind
+    assert np.array_equal(table.fourier, ref.fourier)
+    assert np.array_equal(table.density.entries, ref.density.entries)
+    assert table.a == ref.a and table.flags == ref.flags
+    assert table.a
+
+
+def test_coefficient_table_needs_a_modular_curve():
+    with pytest.raises(ValueError):
+        coefficient_table(sphere_harmonic(4, 4), SphereEquator(), (-4, 4))
 
 
 def test_partial_sums_monotone():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from geoperiods import quad
-from geoperiods.specfun import (DomainError, PoleError, UnsupportedRangeError,
+from geoperiods.specfun import (_NODE_LADDER, DomainError, PoleError,
+                                UnsupportedRangeError, _kappa_contour,
                                 bessel_k_imag, conical_legendre, log_gamma,
                                 table_integral)
 
@@ -169,6 +170,19 @@ def test_bessel_array_matches_scalar():
     arr = bessel_k_imag(9.5, us)
     for i, u in enumerate(us):
         assert arr[i] == pytest.approx(bessel_k_imag(9.5, float(u)), rel=5e-9)
+
+
+@pytest.mark.parametrize("R", [0.5, 9.5, 40.0])
+def test_node_counts_are_ladder_rungs(R):
+    # each node count is the smallest rung at or above the raw budget
+    # 0.9 theta + 128 (clipped to [256, 3e5]), looked up one element at a time
+    u = np.logspace(-3, 3, 400)
+    delta, sd, cd, rate, smax, n = _kappa_contour(R, u)
+    theta = u * sd * np.sinh(smax) + R * smax
+    raw = np.minimum(3e5, np.maximum(256, 0.9 * theta + 128))
+    ladder = [int(r) for r in _NODE_LADDER]
+    ref = [next((r for r in ladder if r >= v), ladder[-1]) for v in raw]
+    assert n.tolist() == ref
 
 
 # ------------------------------------------------------- conical_legendre
