@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -19,31 +20,33 @@ from dataclasses import asdict, dataclass, field
 
 from . import eigen, verify
 from .eigen import _atomic_write
-from .hypgeom import GroupElement, circle_orbit, geodesic_orbit_from_matrix
+from .hypgeom import GroupElement, orbit_from_spec
 from .modelrep import (SpectralParam, density_b, density_c, density_to_csv)
-from .periods import (SphereEquator, check_average_bound, coefficient_table,
-                      fit_restriction_exponent, period_table_to_csv,
-                      report_to_json, restrict)
+from .periods import (check_band, coefficient_family, equator_norms,
+                      period_table_to_csv, report_to_json)
+
+
+def _default(value):
+    """A dataclass default: a fresh JSON-shaped copy of an acceptance input."""
+    return field(default_factory=lambda: json.loads(json.dumps(value)))
 
 
 @dataclass
 class RunConfig:
+    """Run settings; the defaults are the acceptance inputs of ``verify``."""
+
     recipe: str = "maass-restriction"
     surface: str = "modular"
-    brackets: list = field(default_factory=lambda: [[9.0, 10.0], [12.0, 12.7],
-                                                    [13.5, 14.2]])
+    brackets: list = _default(verify.ACCEPTANCE_BRACKETS)
     parity: str = "auto"
     M0: int = 14
     y0: float = 0.40
-    curves: list = field(default_factory=lambda: [
-        {"kind": "geodesic", "matrix": [[883.0, 1428.0], [546.0, 883.0]]},
-        {"kind": "circle", "center": [0.2, 1.1], "radius": 1.6},
-    ])
-    t_grid: list = field(default_factory=lambda: [8, 16, 32, 64])
-    n_range: list = field(default_factory=lambda: [-83, 83])
-    sphere_degrees: list = field(default_factory=lambda: [10, 200])
-    lambdas: list = field(default_factory=lambda: [40.0, 80.0, 160.0, 320.0])
-    q_values: list = field(default_factory=lambda: [0.5, 1.4426950408889634, 2.0])
+    curves: list = _default(verify.ACCEPTANCE_CURVES)
+    t_grid: list = _default(verify.ACCEPTANCE_T_GRID)
+    n_range: list = _default(verify.ACCEPTANCE_N_RANGE)
+    sphere_degrees: list = _default(verify.ACCEPTANCE_SPHERE_DEGREES)
+    lambdas: list = _default(verify.ACCEPTANCE_LAMBDAS)
+    q_values: list = _default(verify.ACCEPTANCE_Q_VALUES)
     out_dir: str = "out"
     cache_dir: str = ""
     tolerances: dict = field(default_factory=dict)
@@ -58,7 +61,17 @@ class RunConfig:
         for b in self.brackets:
             if len(b) != 2 or not (0 < b[0] < b[1]):
                 raise ValueError(f"bad bracket {b}")
+        if self.parity not in ("auto", "even", "odd"):
+            raise ValueError(f"unknown parity {self.parity!r}")
+        if self.recipe == "maass-restriction":
+            check_band(self.n_range)
+        self.orbits             # builds every curve, raising on a bad spec
         return self
+
+    @functools.cached_property
+    def orbits(self) -> list:
+        """The configured curves as orbit descriptors, built once."""
+        return [orbit_from_spec(spec) for spec in self.curves]
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1, sort_keys=True) + "\n"
@@ -78,21 +91,8 @@ def load_config(path) -> RunConfig:
         return RunConfig.from_json(fh.read())
 
 
-def _cache_dir(cfg: RunConfig, args) -> str:
-    return eigen.resolve_cache_dir(args.cache, cfg.cache_dir)
-
-
-def _build_curve(spec):
-    if spec["kind"] == "geodesic":
-        return geodesic_orbit_from_matrix(GroupElement(spec["matrix"]))
-    if spec["kind"] == "circle":
-        cx, cy = spec["center"]
-        return circle_orbit(complex(cx, cy), spec["radius"])
-    raise ValueError(f"unknown curve kind {spec['kind']!r}")
-
-
 def cmd_solve(cfg: RunConfig, args) -> int:
-    cache = _cache_dir(cfg, args)
+    cache = eigen.resolve_cache_dir(args.cache, cfg.cache_dir)
     if not cfg.brackets:
         print("solve: no brackets configured; nothing to do", file=sys.stderr)
         return 0
@@ -110,47 +110,24 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _load_cached_forms(cfg: RunConfig, cache) -> list:
-    forms = []
-    for bracket in cfg.brackets:
-        found = eigen.find_form(cache, bracket)
-        if found is None:
-            raise FileNotFoundError(
-                f"no cached form for bracket {bracket}; run "
-                f"`geoperiods solve --config ...` first (cache dir: {cache})")
-        forms.append(found)
-    return forms
-
-
 def _sweep_maass(cfg: RunConfig, cache, out):
-    forms = _load_cached_forms(cfg, cache)
-    curves = [_build_curve(spec) for spec in cfg.curves]
-    threshold = cfg.tolerances.get("extract_threshold", 1e-10)
-
-    def pipeline(job):
-        form, curve = job
-        return coefficient_table(eigen.as_eigenfunction(form), curve,
-                                 tuple(cfg.n_range), threshold=threshold)
-
-    jobs = [(f, c) for c in curves for f in forms]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            tables = list(pool.map(pipeline, jobs))
-    else:
-        tables = [pipeline(j) for j in jobs]
-
-    by_curve = {}
-    for (form, curve), tb in zip(jobs, tables):
-        by_curve.setdefault(curve.curve_id(), []).append(tb)
-        name = (f"periods_{curve.curve_id().split('(')[0]}"
-                f"_R{form.R:.4f}.csv")
+    forms = verify.acceptance_forms(cache, solve_missing=False,
+                                    brackets=cfg.brackets)
+    if forms is None:
+        raise FileNotFoundError(
+            f"no cached form for some bracket of {cfg.brackets}; run "
+            f"`geoperiods solve --config ...` first (cache dir: {cache})")
+    phis = [eigen.as_eigenfunction(f) for f in forms]
+    with ThreadPoolExecutor(cfg.jobs) as pool:
+        tables, reports = coefficient_family(
+            phis, cfg.orbits, tuple(cfg.n_range), cfg.t_grid,
+            threshold=cfg.tolerances.get("extract_threshold", 1e-10),
+            map=pool.map)
+    for tb in tables:
+        name = f"periods_{tb.curve_id.split('(')[0]}_R{tb.spectral_r:.4f}.csv"
         period_table_to_csv(tb, os.path.join(out, name))
-    reports = {}
-    for cid, tbs in by_curve.items():
-        if len(tbs) >= 2:          # the averaged bound needs a family
-            reports[cid] = check_average_bound(tbs, cfg.t_grid)
     report_to_json(os.path.join(out, "summary.json"), "modular", tables,
-                   report=next(iter(reports.values()), None) if reports else None,
+                   report=next(iter(reports.values()), None),
                    extra={"per_curve_growth": {
                        cid: [r.max_growth_t, r.max_growth_forms]
                        for cid, r in reports.items()}})
@@ -165,15 +142,7 @@ def _sweep_maass(cfg: RunConfig, cache, out):
 
 
 def _sweep_sphere(cfg: RunConfig, out):
-    lo, hi = cfg.sphere_degrees
-    equator = SphereEquator()
-    rows = []
-    for n in range(int(lo), int(hi) + 1):
-        phi = eigen.sphere_harmonic(n, n)
-        prof = restrict(phi, equator, grid=1024)
-        rows.append((n, phi.mu, prof.norm_restriction()))
-    slope, const, resid = fit_restriction_exponent(
-        [(mu, p) for _, mu, p in rows])
+    rows, (slope, const, resid) = equator_norms(cfg.sphere_degrees)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["degree", "mu", "restriction_norm", "fitted_slope"])
@@ -196,7 +165,7 @@ def _sweep_densities(cfg: RunConfig, out):
                            (cfg.n_range[0], cfg.n_range[1]))
             density_to_csv(tb, os.path.join(
                 out, f"density_b_lam{lam_abs:g}_q{q:g}.csv"))
-    g = GroupElement([[2.0, 0.0], [0.0, 0.5]])
+    g = GroupElement(verify.MODEL_CIRCLE_ELEMENT)
     for lam_abs in cfg.lambdas:
         par = SpectralParam(lam=1j * float(lam_abs))
         tb = density_c(par, g, (cfg.n_range[0], cfg.n_range[1]))
@@ -211,7 +180,7 @@ def _sweep_densities(cfg: RunConfig, out):
 def cmd_sweep(cfg: RunConfig, args) -> int:
     out = args.out or cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    cache = _cache_dir(cfg, args)
+    cache = eigen.resolve_cache_dir(args.cache, cfg.cache_dir)
     if cfg.recipe == "sphere-sharpness":
         return _sweep_sphere(cfg, out)
     if cfg.recipe == "density-regimes":
@@ -223,7 +192,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    cache = _cache_dir(cfg, args)
+    cache = eigen.resolve_cache_dir(args.cache, cfg.cache_dir)
     overrides = {}
     for key, val in cfg.tolerances.items():
         if "." in key:
@@ -260,16 +229,15 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="run the acceptance checks")
     p_verify.add_argument("--solve-missing", action="store_true",
                           help="solve forms not found in the cache")
+    parser.set_defaults(solve_missing=False)
     args = parser.parse_args(argv)
-    if not hasattr(args, "solve_missing"):
-        args.solve_missing = False
 
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.jobs is not None:
             cfg.jobs = args.jobs
         cfg.validate()
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -330,8 +330,13 @@ class _Locator:
         return 0.5 * (lo + hi)
 
 
-def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40, scan_step=0.01,
-                 residual_tol=1e-8, agreement_tol=1e-6) -> MaassForm:
+# locator scan step; acceptance bounds on residual and height agreement
+_SCAN_STEP = 0.01
+_RESIDUAL_TOL = 1e-8
+_AGREEMENT_TOL = 1e-6
+
+
+def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
     """Locate one cusp eigenvalue in ``r_bracket`` and return the form.
 
     parity "even"/"odd" selects the cosine/sine expansion; "auto" tries
@@ -350,16 +355,14 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40, scan_step=0.01,
         raise ValueError("hejhal_solve: y0 must lie in (0, sqrt(3)/2)")
     if parity == "auto":
         try:
-            return hejhal_solve((lo, hi), "even", M0, y0, scan_step,
-                                residual_tol, agreement_tol)
+            return hejhal_solve((lo, hi), "even", M0, y0)
         except NoEigenvalueError:
-            return hejhal_solve((lo, hi), "odd", M0, y0, scan_step,
-                                residual_tol, agreement_tol)
+            return hejhal_solve((lo, hi), "odd", M0, y0)
     if parity not in ("even", "odd"):
         raise ValueError(f"unknown parity {parity!r}")
 
     locator = _Locator(M0, parity, y1=y0, y2=max(0.28, y0 - 0.05))
-    rs = np.arange(lo, hi + scan_step / 2, scan_step)
+    rs = np.arange(lo, hi + _SCAN_STEP / 2, _SCAN_STEP)
     gs = np.array([locator.indicator(r)[0] for r in rs])
     flips = np.where(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]
     if len(flips) == 0:
@@ -371,7 +374,7 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40, scan_step=0.01,
         r_loc = locator.bisect(rs[i], rs[i + 1], gs[i])
         _, c1, c2, resid = locator.indicator(r_loc)
         agree = float(np.max(np.abs(c1[:min(8, M0)] - c2[:min(8, M0)])))
-        if resid > residual_tol or agree > agreement_tol:
+        if resid > _RESIDUAL_TOL or agree > _AGREEMENT_TOL:
             last_reason = (f"candidate R={r_loc:.6f} rejected: residual="
                            f"{resid:.2e}, height agreement={agree:.2e}")
             continue

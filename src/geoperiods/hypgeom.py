@@ -27,14 +27,15 @@ __all__ = [
     "geodesic_orbit_from_matrix",
     "CircleOrbit",
     "circle_orbit",
+    "orbit_from_spec",
 ]
 
 
-class InvalidElementError(Exception):
+class InvalidElementError(ValueError):
     pass
 
 
-class NotHyperbolicError(Exception):
+class NotHyperbolicError(ValueError):
     pass
 
 
@@ -276,3 +277,13 @@ def circle_orbit(center: complex, radius: float) -> CircleOrbit:
     h = translation_to(center)
     g = diagonal(np.exp(radius / 2.0))
     return CircleOrbit(h=h, g=g, radius=float(radius), center=center)
+
+
+def orbit_from_spec(spec):
+    """The orbit of a config curve spec: ``{"kind": "geodesic", "matrix":
+    M}`` or ``{"kind": "circle", "center": [x, y], "radius": r}``."""
+    if spec["kind"] == "geodesic":
+        return geodesic_orbit_from_matrix(GroupElement(spec["matrix"]))
+    if spec["kind"] == "circle":
+        return circle_orbit(complex(*spec["center"]), spec["radius"])
+    raise ValueError(f"unknown curve kind {spec['kind']!r}")

@@ -84,18 +84,16 @@ class SpectralParam:
 class ModelVector:
     """A vector in the line or circle realization.
 
-    ``evaluator`` maps a float array to complex values.  ``decay_exponent``
-    declares the |x| -> inf behaviour of a line vector (lam - 1 for
-    vectors reaching the rotation-invariant ray); ``support`` marks compact
-    support; ``phase_bandwidth`` bounds the evaluator's own oscillation in
-    d/d(ln x) units, which the functional quadrature must resolve.
+    ``evaluator`` maps a float array to complex values.  ``support`` marks
+    compact support; ``phase_bandwidth`` bounds the evaluator's own
+    oscillation in d/d(ln x) units, which the functional quadrature must
+    resolve.
     """
 
     param: SpectralParam
     kind: str                       # "line" or "circle"
     evaluator: Callable
     even: bool = False
-    decay_exponent: Optional[complex] = None
     support: Optional[tuple] = None
     k_fixed: bool = False
     phase_bandwidth: float = 0.0
@@ -120,8 +118,7 @@ def k_fixed_vector(param: SpectralParam) -> ModelVector:
         return np.exp(0.5 * (lam - 1.0) * np.log1p(x * x))
 
     return ModelVector(param=param, kind="line", evaluator=ev, even=True,
-                       decay_exponent=lam - 1.0, k_fixed=True,
-                       phase_bandwidth=abs(lam))
+                       k_fixed=True, phase_bandwidth=abs(lam))
 
 
 def pi_action(param: SpectralParam, g: GroupElement, v: ModelVector) -> ModelVector:
@@ -155,9 +152,7 @@ def pi_action(param: SpectralParam, g: GroupElement, v: ModelVector) -> ModelVec
         if lo > 0:
             support = (lo, hi)
     return ModelVector(param=param, kind="line", evaluator=ev,
-                       even=v.even and is_diag,
-                       decay_exponent=v.decay_exponent,
-                       support=support, k_fixed=False,
+                       even=v.even and is_diag, support=support, k_fixed=False,
                        phase_bandwidth=v.phase_bandwidth)
 
 
@@ -416,27 +411,24 @@ def bump(x):
     return out
 
 
-def test_vector(T: float, param: SpectralParam, profile=None) -> ModelVector:
+def test_vector(T: float, param: SpectralParam) -> ModelVector:
     """Concentrated vector x -> T * bump(T(x-1)), extended evenly.
 
-    Squared norm (1/pi) int over both humps equals C1_NORM_SLOPE * T for
-    the default profile; the functional values stay bounded below for all
-    kernel frequencies up to T because the kernel phase varies by less
-    than 1/2 over the support.
+    Squared norm (1/pi) int over both humps equals C1_NORM_SLOPE * T; the
+    functional values stay bounded below for all kernel frequencies up to
+    T because the kernel phase varies by less than 1/2 over the support.
     """
     if T < 1.0:
         raise ValueError("test_vector: T >= 1 required")
-    prof = bump if profile is None else profile
 
     def ev(x):
         ax = np.abs(np.asarray(x, dtype=float))
-        return T * prof(T * (ax - 1.0)) + 0.0j
+        return T * bump(T * (ax - 1.0)) + 0.0j
 
     lo = 1.0 - 0.1 / T
     hi = 1.0 + 0.1 / T
     return ModelVector(param=param, kind="line", evaluator=ev, even=True,
-                       decay_exponent=None, support=(lo, hi), k_fixed=False,
-                       phase_bandwidth=0.0)
+                       support=(lo, hi), k_fixed=False, phase_bandwidth=0.0)
 
 
 def vector_norm_sq(v: ModelVector) -> float:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .eigen import Eigenfunction, _atomic_write, evaluate
+from .eigen import Eigenfunction, _atomic_write, evaluate, sphere_harmonic
 from .hypgeom import CircleOrbit, GeodesicOrbit
 from .modelrep import DensityTable, SpectralParam, density_b, density_c
 
@@ -33,6 +33,9 @@ __all__ = [
     "periods",
     "extract_coefficients",
     "coefficient_table",
+    "coefficient_family",
+    "check_band",
+    "equator_norms",
     "StructuralInconsistencyError",
     "AverageBoundReport",
     "check_average_bound",
@@ -43,6 +46,8 @@ __all__ = [
 
 _MIN_CIRCLE_RADIUS = 1e-3
 _MIN_GEODESIC_LENGTH = 1e-2
+_ODD_CONSISTENCY_TOL = 1e-8     # odd circle periods, relative to max|fourier|
+TABLE_GRID = 2048               # restriction grid of ``coefficient_table``
 
 
 class StructuralInconsistencyError(Exception):
@@ -193,19 +198,23 @@ class PeriodTable:
                          if abs(n) <= T))
 
 
+def check_band(n_range, grid=TABLE_GRID):
+    """Raise ValueError unless ``grid`` oversamples ``n_range`` 4x."""
+    n_max = max(abs(int(n_range[0])), abs(int(n_range[1])))
+    if grid < 4 * max(n_max, 1):
+        raise ValueError(f"profile grid {grid} too coarse for |n| <= {n_max}")
+
+
 def periods(profile: RestrictionProfile, n_range) -> PeriodTable:
     """Fourier coefficients of the profile for n in ``n_range``.
 
     Uses the FFT of the stored samples; the grid must oversample the
     requested range by at least 4x.
     """
-    n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    n_max = max(abs(n_lo), abs(n_hi))
     n = profile.grid
-    if n < 4 * max(n_max, 1):
-        raise ValueError(f"profile grid {n} too coarse for |n| <= {n_max}")
+    check_band(n_range, n)
     c = np.fft.fft(profile.samples) / n
-    ns = np.arange(n_lo, n_hi + 1)
+    ns = np.arange(int(n_range[0]), int(n_range[1]) + 1)
     fourier = c[np.mod(ns, n)]
     return PeriodTable(curve_id=profile.curve_id, mu=profile.mu,
                        spectral_r=profile.spectral_r, length=profile.length,
@@ -215,7 +224,7 @@ def periods(profile: RestrictionProfile, n_range) -> PeriodTable:
 
 
 def extract_coefficients(table: PeriodTable, density: DensityTable,
-                         threshold=1e-12, odd_consistency_tol=1e-8) -> PeriodTable:
+                         threshold=1e-12) -> PeriodTable:
     """Divide mass-one periods by model-density entries.
 
     Entries with |density| below ``threshold`` x max|density| are flagged
@@ -242,7 +251,7 @@ def extract_coefficients(table: PeriodTable, density: DensityTable,
             continue
         f = table.fourier[i]
         if density.kind == "circle-c" and n % 2 != 0:
-            if abs(f) > odd_consistency_tol * scale:
+            if abs(f) > _ODD_CONSISTENCY_TOL * scale:
                 raise StructuralInconsistencyError(
                     f"odd period p_{n} = {abs(f):.3e} does not vanish while "
                     "the circle density does")
@@ -264,13 +273,13 @@ def coefficient_table(phi: Eigenfunction, curve, n_range,
     circle, with coefficients extracted against the curve's model density.
 
     The one chain from (form, curve) to a coefficient table: ``restrict``
-    at grid 2048, ``periods`` over ``n_range``, then ``density_b`` at
+    at ``TABLE_GRID``, ``periods`` over ``n_range``, then ``density_b`` at
     q = 1/ln a for a GeodesicOrbit or ``density_c`` of the radius element
     for a CircleOrbit, and ``extract_coefficients``.
     """
     if not isinstance(curve, (GeodesicOrbit, CircleOrbit)):
         raise ValueError(f"no model density for curve {curve.curve_id()}")
-    table = periods(restrict(phi, curve, grid=2048), n_range)
+    table = periods(restrict(phi, curve, grid=TABLE_GRID), n_range)
     par = SpectralParam.from_r(phi.spectral_r)
     if isinstance(curve, GeodesicOrbit):
         density = density_b(par, curve.q, n_range)
@@ -345,6 +354,35 @@ def check_average_bound(tables, t_grid, growth_limit=3.0) -> AverageBoundReport:
         max_growth_t=g_t, max_growth_forms=g_f,
         variation_t=var_t,
         passed=(g_t <= growth_limit and g_f <= growth_limit))
+
+
+def coefficient_family(phis, curves, n_range, t_grid, threshold=1e-10,
+                       map=map, growth_limit=3.0):
+    """``coefficient_table`` of every (curve, form) pair, run by ``map``
+    (the builtin or an executor's), and the ``check_average_bound`` report
+    of each curve with two or more tables.  Returns ``(tables, reports)``:
+    tables curve by curve, forms in order; reports keyed by curve id."""
+    pairs = [(phi, curve) for curve in curves for phi in phis]
+    tables = list(map(lambda pair: coefficient_table(
+        *pair, n_range, threshold=threshold), pairs))
+    by_curve = {}
+    for tb in tables:
+        by_curve.setdefault(tb.curve_id, []).append(tb)
+    reports = {cid: check_average_bound(tbs, t_grid, growth_limit)
+               for cid, tbs in by_curve.items() if len(tbs) >= 2}
+    return tables, reports
+
+
+def equator_norms(degrees):
+    """Rows (n, mu, squared equator norm) of Y(n, n) for n from
+    ``degrees[0]`` to ``degrees[1]``, and their ``fit_restriction_exponent``."""
+    equator = SphereEquator()
+    rows = []
+    for n in range(int(degrees[0]), int(degrees[1]) + 1):
+        phi = sphere_harmonic(n, n)
+        rows.append((n, phi.mu,
+                     restrict(phi, equator, grid=1024).norm_restriction()))
+    return rows, fit_restriction_exponent([(mu, p) for _, mu, p in rows])
 
 
 def fit_restriction_exponent(pairs):

@@ -230,7 +230,7 @@ def bessel_k_imag(R, u, node_scale=1.0):
 #                  * int_0^pi (x + sqrt(x^2-1) cos psi)^{nu-n} sin(psi)^{2n} dpsi
 
 
-def conical_legendre(t, n, x, nodes=512):
+def conical_legendre(t, n, x):
     """Legendre function P^{-n}_{-1/2+it}(x) for integer n >= 0 and x >= 1.
 
     Real for real t and x >= 1 (the imaginary part of the integral cancels);
@@ -245,7 +245,7 @@ def conical_legendre(t, n, x, nodes=512):
         raise DomainError(f"conical_legendre: x = {x:g} < 1 outside the hyperbolic range")
     if x == 1.0:
         return 1.0 if n == 0 else 0.0
-    xs, w = _gauss(nodes)
+    xs, w = _gauss(512)
     psi = 0.5 * np.pi * (xs + 1.0)
     wp = 0.5 * np.pi * w
     base = x + np.sqrt(x * x - 1.0) * np.cos(psi)

@@ -65,3 +65,12 @@ def test_criterion_09_average_bound_boundedness():
 
 def test_criterion_10_test_vector_constants():
     _run("test-vector-constants")
+
+
+def test_criterion_09_limit_override_reaches_the_growth_bound():
+    # at T = 4, 8, 16 the geodesic ratios grow ~23x along T: beyond the
+    # default limit of 3 but inside an overridden limit of 25
+    res = verify.check_average_bound_maass(
+        cache_dir=CACHE_DIR, t_grid=(4, 8, 16), variation_limit=25.0)
+    assert res.extras["geodesic"].max_growth_t > 3.0
+    assert res.passed, res.details

@@ -195,3 +195,49 @@ def test_outputs_follow_umask(tmp_path, first_form):
     assert sorted(os.listdir(out)) == ["sphere_sharpness.csv", "summary.json"]
     for path in (record, out / "sphere_sharpness.csv", out / "summary.json"):
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o644, path
+
+
+@pytest.mark.parametrize("command,config", [
+    ("sweep", {"curves": [{"kind": "ellipse"}]}),
+    ("solve", {"parity": "both"}),
+    ("sweep", {"n_range": [-2000, 2000]}),
+    ("sweep", {"curves": [{"kind": "geodesic", "matrix": [[1, 1], [0, 1]]}]}),
+])
+def test_bad_config_values_exit_2(command, config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), "--cache", str(tmp_path / "cache"),
+                 "--out", str(tmp_path / "out"), command]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "cache").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_maass_sweep_bytes_independent_of_jobs(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"recipe": "maass-restriction",
+                               "brackets": [[9.0, 10.0], [12.0, 12.7]],
+                               "t_grid": [4, 8, 16],
+                               "n_range": [-30, 30],
+                               "cache_dir": os.path.abspath(CACHE_DIR)}))
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        # exit 1 either way: the ratios grow more than 3x from T = 4 to 16
+        assert main(["--config", str(cfg), "--jobs", jobs, "--out", str(out),
+                     "sweep"]) == 1
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outputs[0]) == 5          # four period tables and the summary
+    assert outputs[0] == outputs[1]
+
+
+def test_budget_override_fails_over_budget(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "checks": ["table-integral-identity"],
+        "tolerances": {"table-integral-identity.budget": 1e-9,
+                       "table-integral-identity.n_samples": 1}}))
+    assert main(["--config", str(cfg), "verify"]) == 1
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("[FAIL] table-integral-identity")
+    assert "OVER BUDGET" in line

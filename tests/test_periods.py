@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from geoperiods import eigen, verify
 from geoperiods.eigen import sphere_harmonic, torus_mode
 from geoperiods.hypgeom import (GroupElement, circle_orbit,
-                                geodesic_orbit_from_matrix)
+                                geodesic_orbit_from_matrix, orbit_from_spec)
 from geoperiods.modelrep import SpectralParam, density_b, density_c
 from geoperiods.periods import (RestrictionProfile, SphereEquator,
                                 StructuralInconsistencyError, TorusGeodesic,
-                                check_average_bound, coefficient_table,
-                                extract_coefficients,
+                                check_average_bound, coefficient_family,
+                                coefficient_table, extract_coefficients,
                                 fit_restriction_exponent, periods, restrict)
+
+from conftest import CACHE_DIR
 
 RNG = np.random.default_rng(17)
 
@@ -202,6 +205,26 @@ def test_coefficient_table_is_the_explicit_chain(first_eigenfunction, kind):
     assert np.array_equal(table.density.entries, ref.density.entries)
     assert table.a == ref.a and table.flags == ref.flags
     assert table.a
+
+
+def test_coefficient_family_is_table_and_bound_pair_by_pair():
+    forms = verify.acceptance_forms(CACHE_DIR, brackets=[(9.0, 10.0),
+                                                         (12.0, 12.7)])
+    phis = [eigen.as_eigenfunction(f) for f in forms]
+    curves = [orbit_from_spec(spec) for spec in verify.ACCEPTANCE_CURVES]
+    n_range, t_grid = (-20, 20), (4, 8, 16)
+    tables, reports = coefficient_family(phis, curves, n_range, t_grid,
+                                         growth_limit=1.5)
+    assert len(tables) == 4 and len(reports) == 2
+    for k, curve in enumerate(curves):
+        refs = [coefficient_table(phi, curve, n_range) for phi in phis]
+        for tb, ref in zip(tables[2 * k:2 * k + 2], refs):
+            assert tb.curve_id == ref.curve_id
+            assert tb.spectral_r == ref.spectral_r
+            assert np.array_equal(tb.fourier, ref.fourier)
+            assert tb.a == ref.a and tb.flags == ref.flags
+        assert reports[curve.curve_id()] == check_average_bound(refs, t_grid,
+                                                                1.5)
 
 
 def test_coefficient_table_needs_a_modular_curve():
