@@ -22,8 +22,9 @@ from . import eigen, verify
 from .eigen import _atomic_write
 from .hypgeom import GroupElement, orbit_from_spec
 from .modelrep import (SpectralParam, density_b, density_c, density_to_csv)
-from .periods import (check_band, coefficient_family, equator_norms,
-                      period_table_to_csv, report_to_json)
+from .periods import (check_band, check_t_grid, coefficient_family,
+                      equator_degrees, equator_norms, period_table_to_csv,
+                      report_to_json)
 
 
 def _default(value):
@@ -63,8 +64,14 @@ class RunConfig:
                 raise ValueError(f"bad bracket {b}")
         if self.parity not in ("auto", "even", "odd"):
             raise ValueError(f"unknown parity {self.parity!r}")
+        if len(self.n_range) != 2:
+            raise ValueError(f"n_range {self.n_range} is not a pair")
         if self.recipe == "maass-restriction":
             check_band(self.n_range)
+            if len(self.brackets) >= 2:     # the averaged bound needs a family
+                check_t_grid(self.t_grid)
+        if self.recipe == "sphere-sharpness":
+            equator_degrees(self.sphere_degrees)
         self.orbits             # builds every curve, raising on a bad spec
         return self
 
@@ -248,7 +255,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg, args)
         if args.command == "verify":
             return cmd_verify(cfg, args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, eigen.CacheRecordError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except eigen.NoEigenvalueError as exc:

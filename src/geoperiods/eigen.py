@@ -5,12 +5,15 @@ sharpness oracles); Laplace eigenfunctions on the modular surface are
 produced by an automorphy-collocation solver: a truncated Fourier-Bessel
 expansion is sampled on a low horocycle, pulled back into the fundamental
 domain, and the implied linear system is closed by regularized least
-squares.  Eigenvalues are located by bisecting the sign of a two-height
-coefficient mismatch, then confirmed at deeper truncation.
+squares.  Eigenvalues are zeros of a two-height coefficient mismatch:
+one locator routine bisects its sign changes on a grid, over the bracket
+and then, at deeper truncation, over a narrow confirming window.
+``NoEigenvalueError`` gives every rejected candidate's reason.
 """
 
 from __future__ import annotations
 
+import functools
 import glob
 import json
 import os
@@ -25,6 +28,7 @@ __all__ = [
     "Eigenfunction",
     "MaassForm",
     "NoEigenvalueError",
+    "CacheRecordError",
     "ConditioningError",
     "AccuracyLossError",
     "ReductionError",
@@ -60,9 +64,11 @@ class NoEigenvalueError(Exception):
 
 
 class ConditioningError(Exception):
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
+    pass
+
+
+class CacheRecordError(ValueError):
+    """A cache record that is unreadable or not a solved form."""
 
 
 class AccuracyLossError(Exception):
@@ -183,7 +189,6 @@ class _KappaTable:
     """Cubic interpolant of u -> e^{pi R/2} K_{iR}(u) on a log grid."""
 
     def __init__(self, R, u_min, u_max, points=8192):
-        self.R = R
         self.lo = np.log(u_min)
         self.hi = np.log(u_max)
         self.n = points
@@ -268,70 +273,74 @@ class MaassForm:
 
 
 class _Collocation:
-    """Fixed sampling geometry: points on a horocycle and their pullbacks."""
+    """The collocation system at one horocycle height ``Y``: Q points
+    pulled back into the fundamental domain, and every factor of the
+    M0 x M0 system that does not depend on R, built once."""
 
-    def __init__(self, Y, Q):
-        self.Y = Y
-        self.Q = Q
-        j = np.arange(1, Q + 1)
-        self.xj = (j - 0.5) / (2.0 * Q)
-        zs = [pullback(complex(x, Y)) for x in self.xj]
-        self.xs = np.array([z.real for z in zs])
-        self.ys = np.array([z.imag for z in zs])
+    def __init__(self, Y, Q, M0, parity):
+        xj = (np.arange(1, Q + 1) - 0.5) / (2.0 * Q)
+        zs = np.array([pullback(complex(x, Y)) for x in xj])
+        ns = np.arange(1, M0 + 1)
+        osc = np.cos if parity == "even" else np.sin
+        self.u_pull = 2.0 * np.pi * np.outer(zs.imag, ns)
+        self.u_y = 2.0 * np.pi * ns * Y
+        self.sqrt_Y = np.sqrt(Y)
+        self.sqrt_ys = np.sqrt(zs.imag)[:, None]
+        self.osc_pull = osc(2.0 * np.pi * np.outer(zs.real, ns))
+        self.projection = (2.0 / Q) * osc(2.0 * np.pi * np.outer(xj, ns)).T
 
-
-def _build_system(R, coll, M0, parity):
-    ns = np.arange(1, M0 + 1)
-    u_pull = 2.0 * np.pi * np.outer(coll.ys, ns)
-    k_pull = bessel_k_imag(R, u_pull)
-    c_y = bessel_k_imag(R, 2.0 * np.pi * ns * coll.Y) * np.sqrt(coll.Y)
-    osc = np.cos if parity == "even" else np.sin
-    b = k_pull * np.sqrt(coll.ys)[:, None] * osc(2.0 * np.pi * np.outer(coll.xs, ns))
-    cm = osc(2.0 * np.pi * np.outer(coll.xj, ns))
-    v = (2.0 / coll.Q) * cm.T @ b
-    return v - np.diag(c_y)
-
-
-def _solve_at(R, coll, M0, parity, rcond=1e-9):
-    """Coefficients (a_1 = 1) by least squares; returns (coeffs, residual)."""
-    a_mat = _build_system(R, coll, M0, parity)
-    m = a_mat[:, 1:]
-    rhs = -a_mat[:, 0]
-    sol, _, rank, sv = np.linalg.lstsq(m, rhs, rcond=rcond)
-    if sv[0] <= 0 or not np.all(np.isfinite(sol)):
-        raise ConditioningError("collocation system is singular",
-                                condition=np.inf)
-    coeffs = np.concatenate([[1.0], sol])
-    resid = float(np.linalg.norm(a_mat @ coeffs)
-                  / (np.linalg.norm(a_mat, "fro") * np.linalg.norm(coeffs)))
-    return coeffs, resid
+    def solve(self, R):
+        """Least-squares coefficients (a_1 = 1) at R and their residual."""
+        b = bessel_k_imag(R, self.u_pull) * self.sqrt_ys * self.osc_pull
+        c_y = bessel_k_imag(R, self.u_y) * self.sqrt_Y
+        a_mat = self.projection @ b - np.diag(c_y)
+        sol, _, _, sv = np.linalg.lstsq(a_mat[:, 1:], -a_mat[:, 0],
+                                        rcond=_RCOND)
+        if sv[0] <= 0 or not np.all(np.isfinite(sol)):
+            raise ConditioningError("collocation system is singular")
+        coeffs = np.concatenate([[1.0], sol])
+        resid = float(np.linalg.norm(a_mat @ coeffs)
+                      / (np.linalg.norm(a_mat, "fro") * np.linalg.norm(coeffs)))
+        return coeffs, resid
 
 
 class _Locator:
-    def __init__(self, M0, parity, y1=0.40, y2=0.35):
-        self.M0 = M0
-        self.parity = parity
-        self.coll1 = _Collocation(y1, M0 + 12)
-        self.coll2 = _Collocation(y2, M0 + 12)
+    """Sign of the a_2 mismatch between two collocation heights."""
+
+    def __init__(self, M0, parity, y1, y2):
+        self.coll1 = _Collocation(y1, M0 + 12, M0, parity)
+        self.coll2 = _Collocation(y2, M0 + 12, M0, parity)
 
     def indicator(self, R):
-        c1, r1 = _solve_at(R, self.coll1, self.M0, self.parity)
-        c2, r2 = _solve_at(R, self.coll2, self.M0, self.parity)
+        c1, r1 = self.coll1.solve(R)
+        c2, r2 = self.coll2.solve(R)
         return float(c1[1] - c2[1]), c1, c2, max(r1, r2)
 
-    def bisect(self, lo, hi, g_lo, steps=34):
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            gm = self.indicator(mid)[0]
-            if np.sign(gm) == np.sign(g_lo):
-                lo, g_lo = mid, gm
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def roots(self, rs, near=None):
+        """Zeros of the indicator, one per sign change over the grid ``rs``
+        (each bisected when it is reached), in grid order; with ``near``
+        only the change whose left end is nearest ``near``."""
+        gs = np.array([self.indicator(r)[0] for r in rs])
+        flips = np.where(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]
+        if near is not None and len(flips):
+            flips = flips[[np.argmin(np.abs(rs[flips] - near))]]
+        for i in flips:
+            lo, hi, g_lo = rs[i], rs[i + 1], gs[i]
+            for _ in range(_BISECT_STEPS):
+                mid = 0.5 * (lo + hi)
+                gm = self.indicator(mid)[0]
+                if np.sign(gm) == np.sign(g_lo):
+                    lo, g_lo = mid, gm
+                else:
+                    hi = mid
+            yield 0.5 * (lo + hi)
 
 
-# locator scan step; acceptance bounds on residual and height agreement
+# locator scan step, bisection steps and least-squares cutoff; acceptance
+# bounds on residual and height agreement
 _SCAN_STEP = 0.01
+_BISECT_STEPS = 34
+_RCOND = 1e-9
 _RESIDUAL_TOL = 1e-8
 _AGREEMENT_TOL = 1e-6
 
@@ -340,11 +349,11 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
     """Locate one cusp eigenvalue in ``r_bracket`` and return the form.
 
     parity "even"/"odd" selects the cosine/sine expansion; "auto" tries
-    even first.  The returned R is confirmed by an independent relocation
-    at truncation M0+8 (recorded in ``r_stability``); candidates whose
-    full-system residual or two-height coefficient agreement fail the
-    tolerances are rejected, and NoEigenvalueError is raised if nothing
-    survives.
+    even, then odd.  The returned R is confirmed by an independent
+    relocation at truncation M0+8 (recorded in ``r_stability``);
+    candidates whose full-system residual or two-height coefficient
+    agreement fail the tolerances are rejected.  If nothing survives,
+    NoEigenvalueError carries the reason of every parity and candidate.
     """
     lo, hi = float(r_bracket[0]), float(r_bracket[1])
     if not (0 < lo < hi):
@@ -353,88 +362,58 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
         raise ValueError("hejhal_solve: bracket too wide; split it")
     if not (0 < y0 < np.sqrt(3.0) / 2.0):
         raise ValueError("hejhal_solve: y0 must lie in (0, sqrt(3)/2)")
-    if parity == "auto":
-        try:
-            return hejhal_solve((lo, hi), "even", M0, y0)
-        except NoEigenvalueError:
-            return hejhal_solve((lo, hi), "odd", M0, y0)
-    if parity not in ("even", "odd"):
+    if parity not in ("auto", "even", "odd"):
         raise ValueError(f"unknown parity {parity!r}")
 
-    locator = _Locator(M0, parity, y1=y0, y2=max(0.28, y0 - 0.05))
-    rs = np.arange(lo, hi + _SCAN_STEP / 2, _SCAN_STEP)
-    gs = np.array([locator.indicator(r)[0] for r in rs])
-    flips = np.where(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]
-    if len(flips) == 0:
-        raise NoEigenvalueError(
-            f"no sign change of the locator over [{lo:g}, {hi:g}] ({parity})")
-
-    last_reason = "no sign change"
-    for i in flips:
-        r_loc = locator.bisect(rs[i], rs[i + 1], gs[i])
-        _, c1, c2, resid = locator.indicator(r_loc)
-        agree = float(np.max(np.abs(c1[:min(8, M0)] - c2[:min(8, M0)])))
-        if resid > _RESIDUAL_TOL or agree > _AGREEMENT_TOL:
-            last_reason = (f"candidate R={r_loc:.6f} rejected: residual="
-                           f"{resid:.2e}, height agreement={agree:.2e}")
-            continue
-        # confirm at deeper truncation
-        deep = _Locator(M0 + 8, parity, y1=min(y0, 0.35), y2=0.28)
-        w = 1e-4
-        rs2 = np.linspace(r_loc - w, r_loc + w, 9)
-        gs2 = np.array([deep.indicator(r)[0] for r in rs2])
-        flips2 = np.where(np.sign(gs2[:-1]) * np.sign(gs2[1:]) < 0)[0]
-        if len(flips2) == 0:
-            last_reason = f"candidate R={r_loc:.6f} not confirmed at M0+8"
-            continue
-        j = flips2[np.argmin(np.abs(rs2[flips2] - r_loc))]
-        r_deep = deep.bisect(rs2[j], rs2[j + 1], gs2[j])
-        if abs(r_deep - r_loc) > 1e-6:
-            last_reason = (f"candidate R={r_loc:.6f} unstable under deeper "
-                           f"truncation (moved {abs(r_deep - r_loc):.2e})")
-            continue
-        coeffs, resid_f = _solve_at(r_deep, deep.coll1, M0 + 8, parity)
-        form = MaassForm(R=float(r_deep), parity=parity, M0=M0 + 8, y0=y0,
-                         coefficients=coeffs, residual=resid_f,
-                         r_stability=float(abs(r_deep - r_loc)),
-                         height_agreement=agree, bracket=(lo, hi))
-        _normalize_l2(form)
-        return form
-    raise NoEigenvalueError(f"no verified eigenvalue in [{lo:g}, {hi:g}] "
-                            f"({parity}); {last_reason}")
+    reasons = []
+    for par in ("even", "odd") if parity == "auto" else (parity,):
+        locator = _Locator(M0, par, y1=y0, y2=max(0.28, y0 - 0.05))
+        n_reasons = len(reasons)
+        for r_loc in locator.roots(np.arange(lo, hi + _SCAN_STEP / 2,
+                                             _SCAN_STEP)):
+            cand = f"{par}: candidate R={r_loc:.6f}"
+            _, c1, c2, resid = locator.indicator(r_loc)
+            agree = float(np.max(np.abs(c1[:min(8, M0)] - c2[:min(8, M0)])))
+            if resid > _RESIDUAL_TOL or agree > _AGREEMENT_TOL:
+                reasons.append(f"{cand} rejected: residual={resid:.2e}, "
+                               f"height agreement={agree:.2e}")
+                continue
+            # confirm at deeper truncation
+            deep = _Locator(M0 + 8, par, y1=min(y0, 0.35), y2=0.28)
+            window = np.linspace(r_loc - 1e-4, r_loc + 1e-4, 9)
+            r_deep = next(deep.roots(window, near=r_loc), None)
+            if r_deep is None:
+                reasons.append(f"{cand} not confirmed at M0+8")
+                continue
+            if abs(r_deep - r_loc) > 1e-6:
+                reasons.append(f"{cand} unstable under deeper truncation "
+                               f"(moved {abs(r_deep - r_loc):.2e})")
+                continue
+            coeffs, resid_f = deep.coll1.solve(r_deep)
+            form = MaassForm(R=float(r_deep), parity=par, M0=M0 + 8, y0=y0,
+                             coefficients=coeffs, residual=resid_f,
+                             r_stability=float(abs(r_deep - r_loc)),
+                             height_agreement=agree, bracket=(lo, hi))
+            pts, wts = _fundamental_domain_grid()
+            form.l2_scale = 1.0 / np.sqrt(
+                float(np.sum(wts * np.abs(form.value(pts)) ** 2)))
+            return form
+        if len(reasons) == n_reasons:
+            reasons.append(f"{par}: no sign change of the locator")
+    raise NoEigenvalueError(f"no verified eigenvalue in [{lo:g}, {hi:g}]: "
+                            + "; ".join(reasons))
 
 
+@functools.cache
 def _fundamental_domain_grid(nx=64, ny=48, y_cut=4.5):
     """Gauss product grid over the fundamental domain with d(mu) weights."""
     gx, wx = np.polynomial.legendre.leggauss(nx)
     gy, wy = np.polynomial.legendre.leggauss(ny)
-    xs = 0.5 * gx                       # [-1/2, 1/2]
-    wxs = 0.5 * wx
-    pts = []
-    wts = []
-    for x, wx_ in zip(xs, wxs):
-        y_lo = np.sqrt(max(1.0 - x * x, 0.0))
-        ys = 0.5 * (y_cut - y_lo) * gy + 0.5 * (y_cut + y_lo)
-        wys = 0.5 * (y_cut - y_lo) * wy
-        for y, wy_ in zip(ys, wys):
-            pts.append(complex(x, y))
-            wts.append(wx_ * wy_ / (y * y))
-    return np.array(pts), np.array(wts)
-
-
-_FD_GRID = None
-
-
-def _normalize_l2(form: MaassForm):
-    global _FD_GRID
-    if _FD_GRID is None:
-        _FD_GRID = _fundamental_domain_grid()
-    pts, wts = _FD_GRID
-    form.l2_scale = 1.0
-    vals = form.value(pts)
-    norm_sq = float(np.sum(wts * np.abs(vals) ** 2))
-    form.l2_scale = 1.0 / np.sqrt(norm_sq)
-    return form
+    x = 0.5 * gx[:, None]               # [-1/2, 1/2]
+    y_lo = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    y = 0.5 * (y_cut - y_lo) * gy + 0.5 * (y_cut + y_lo)
+    w = 0.5 * wx[:, None] * (0.5 * (y_cut - y_lo) * wy) / (y * y)
+    return (x + 1j * y).ravel(), w.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -449,51 +428,42 @@ def evaluate(phi: Eigenfunction, point):
     return phi.evaluator(point)
 
 
-def _d1_d2(f, h):
-    """Fourth-order first and second derivatives from a 5-point stencil.
-
-    ``f(k)`` returns the value displaced by k*h, k in -2..2.
-    """
-    y = [f(k) for k in (-2, -1, 0, 1, 2)]
+def _d1_d2(y, h):
+    """Value and fourth-order first and second derivatives from 5-point
+    stencils: ``y[k + 2]`` is the value displaced by k*h, k in -2..2."""
     d1 = (-y[4] + 8 * y[3] - 8 * y[1] + y[0]) / (12 * h)
     d2 = (-y[4] + 16 * y[3] - 30 * y[2] + 16 * y[1] - y[0]) / (12 * h * h)
     return y[2], d1, d2
 
 
-def laplace_residual(phi: Eigenfunction, points, h=None) -> float:
+def laplace_residual(phi: Eigenfunction, points) -> float:
     """Max relative finite-difference Laplace residual over sample points.
 
-    Five-point fourth-order stencils in each surface's coordinates; the
-    residual is scaled by the largest term of the eigenvalue equation.
+    Five-point fourth-order stencils along each coordinate of the surface
+    (colatitude and longitude, torus coordinates, x and y after pullback),
+    one ``evaluate`` batch per axis; the residual is scaled by the largest
+    term of the eigenvalue equation.  A NaN value gives a NaN residual.
     """
-    worst = 0.0
-    scale = np.sqrt(max(phi.mu, 1.0))
-    for p in points:
-        if phi.surface == "sphere":
-            step = h or min(1e-3, 0.05 / scale)
-            th, ph = p
-            f = lambda a, b: float(evaluate(phi, np.array([[a, b]]))[0])
-            f0, ft, ftt = _d1_d2(lambda k: f(th + k * step, ph), step)
-            _, _, fpp = _d1_d2(lambda k: f(th, ph + k * step), step)
-            lap = ftt + ft / np.tan(th) + fpp / np.sin(th) ** 2
-        elif phi.surface == "torus":
-            step = h or min(1e-3, 0.05 / scale)
-            x1, x2 = p
-            f = lambda a, b: float(evaluate(phi, np.array([[a, b]]))[0])
-            f0, _, f11 = _d1_d2(lambda k: f(x1 + k * step, x2), step)
-            _, _, f22 = _d1_d2(lambda k: f(x1, x2 + k * step), step)
-            lap = f11 + f22
-        else:
-            z = pullback(complex(p))
-            step = h or min(1e-3, 0.05 / scale) * z.imag
-            f = lambda w: float(evaluate(phi, w))
-            f0, _, fxx = _d1_d2(lambda k: f(z + k * step), step)
-            _, _, fyy = _d1_d2(lambda k: f(z + 1j * k * step), step)
-            lap = z.imag ** 2 * (fxx + fyy)
-        num = abs(-lap - phi.mu * f0)
-        den = abs(phi.mu) * max(abs(f0), 1e-3)
-        worst = max(worst, num / den)
-    return worst
+    h = min(1e-3, 0.05 / np.sqrt(max(phi.mu, 1.0)))
+    k = np.arange(-2, 3)[:, None]
+    if phi.surface == "modular":
+        z = np.array([pullback(complex(p)) for p in points])
+        a, b, h = z.real, z.imag, h * z.imag
+        at = lambda a_, b_: a_ + 1j * b_
+    else:
+        a, b = np.asarray(points, dtype=float).T
+        at = lambda a_, b_: np.stack(np.broadcast_arrays(a_, b_), axis=-1)
+    f0, fa, faa = _d1_d2(evaluate(phi, at(a + k * h, b)), h)
+    _, _, fbb = _d1_d2(evaluate(phi, at(a, b + k * h)), h)
+    if phi.surface == "sphere":
+        lap = faa + fa / np.tan(a) + fbb / np.sin(a) ** 2
+    elif phi.surface == "torus":
+        lap = faa + fbb
+    else:
+        lap = b ** 2 * (faa + fbb)
+    num = np.abs(-lap - phi.mu * f0)
+    den = abs(phi.mu) * np.maximum(np.abs(f0), 1e-3)
+    return float(np.max(num / den))
 
 
 # ---------------------------------------------------------------------------
@@ -557,18 +527,34 @@ def save_form(form: MaassForm, path):
 
 
 def load_form(path) -> MaassForm:
-    with open(path) as fh:
-        record = json.load(fh)
-    if record.get("format_version") != _CACHE_FORMAT_VERSION:
-        raise ValueError(f"unsupported cache format in {path}")
-    return MaassForm(R=record["R"], parity=record["parity"], M0=record["M0"],
-                     y0=record["y0"],
-                     coefficients=np.array(record["coefficients"]),
-                     l2_scale=record["l2_scale"],
-                     residual=record["residual"],
-                     r_stability=record["r_stability"],
-                     height_agreement=record.get("height_agreement", np.nan),
-                     bracket=tuple(record.get("bracket", ())))
+    """The form of a cache record; CacheRecordError, naming the file, when
+    the record is unreadable or not a solved form."""
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+        form = MaassForm(
+            R=record["R"], parity=record["parity"], M0=record["M0"],
+            y0=record["y0"], coefficients=np.array(record["coefficients"]),
+            l2_scale=record["l2_scale"], residual=record["residual"],
+            r_stability=record["r_stability"],
+            height_agreement=record.get("height_agreement", np.nan),
+            bracket=tuple(record.get("bracket", ())))
+        lo, hi = form.bracket or (-np.inf, np.inf)
+        problems = [message for ok, message in [
+            (record.get("format_version") == _CACHE_FORMAT_VERSION,
+             f"format_version {record.get('format_version')!r}"),
+            (form.parity in ("even", "odd"), f"parity {form.parity!r}"),
+            (np.all(np.isfinite([form.R, form.l2_scale, *form.coefficients])),
+             "non-finite R, l2_scale or coefficient"),
+            (len(form.coefficients) == form.M0,
+             f"{len(form.coefficients)} coefficients for M0 = {form.M0}"),
+            (lo <= form.R <= hi, f"R outside the bracket {list(form.bracket)}"),
+        ] if not ok]
+    except (ValueError, KeyError, TypeError) as exc:
+        problems = [f"{type(exc).__name__}: {exc}"]
+    if problems:
+        raise CacheRecordError(f"bad cache record {path}: " + "; ".join(problems))
+    return form
 
 
 def as_eigenfunction(form: MaassForm) -> Eigenfunction:

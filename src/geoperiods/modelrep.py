@@ -200,30 +200,20 @@ def model_functional(param: SpectralParam, s: complex, v: ModelVector):
     """Equivariant functional: int_R |x|^{-1/2-lam/2+s/2} v(x) dx.
 
     Unitary characters only (Re s = 0).  The rotation-invariant vector
-    goes through ``k_fixed_functional`` as a one-point lattice; compactly
-    supported vectors off the kernel singularity use direct oscillatory
-    panels, and other vectors a logarithmic substitution.
+    goes through ``k_fixed_functional`` as a one-point lattice; every
+    other vector is integrated after x = e^u, with (v(x) + v(-x)) folded
+    onto the half line, over u in log(support) for a compactly supported
+    vector and [-60, 50] otherwise.
     """
     s = complex(s)
     if abs(s.real) > 1e-12:
         raise DomainError("model_functional: unitary characters only (Re s = 0)")
-    beta = 0.5 * (s.imag - param.lam.imag)
-
     if v.k_fixed:
         return k_fixed_functional(param, s.imag, [1 if s.imag else 0])[0]
-    if v.support is not None and v.support[0] > 0:
-        # kernel |x|^{-1/2} e^{i beta ln x} times (v(x)+v(-x)) on the support
-        lo, hi = v.support
-        fmax = (abs(beta) * max(1.0 / lo, 1.0) + v.phase_bandwidth) / (2 * np.pi)
-
-        def amp_ph(x):
-            vals = v(x) + (v(x) if v.even else v(-x))
-            amp = np.abs(vals) / np.sqrt(x)
-            return amp, beta * np.log(x) + np.angle(vals + 0j)
-
-        return quad.oscillatory_integral(amp_ph, lo, hi, fmax).value
-    # generic: x = e^u on each half line, u in [-60, 50]
+    beta = 0.5 * (s.imag - param.lam.imag)
     fmax = (abs(beta) + v.phase_bandwidth) / (2 * np.pi)
+    compact = v.support is not None and v.support[0] > 0
+    lo, hi = np.log(v.support) if compact else (-60.0, 50.0)
 
     def amp_ph(u):
         x = np.exp(u)
@@ -231,7 +221,7 @@ def model_functional(param: SpectralParam, s: complex, v: ModelVector):
         w = np.exp(0.5 * u) * vals
         return np.abs(w), beta * u + np.angle(w + 0j)
 
-    return quad.oscillatory_integral(amp_ph, -60.0, 50.0, max(fmax, 0.5)).value
+    return quad.oscillatory_integral(amp_ph, lo, hi, max(fmax, 0.5)).value
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +443,23 @@ def vector_norm_sq(v: ModelVector) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _envelope_terms(table: DensityTable):
+    """(regime, log |entry|^2 over that regime's envelope shape) for every
+    finite entry: times |lam| in the bulk, sqrt|lam| in the transition and
+    e^{sigma/10} in the tail."""
+    log_lam = np.log(table.param.abs_lam)
+    shift = {"bulk": log_lam, "transition": 0.5 * log_lam}
+    for l2, sig, tag in zip(table.log_abs2, table.sigma, table.regime):
+        if np.isfinite(l2):
+            yield tag, l2 + shift.get(tag, 0.1 * sig)
+
+
 def fit_regime_constants(table: DensityTable) -> dict:
     """Envelope constants (log scale) from one table: bulk |b|^2 <= c1/|lam|,
     transition <= c2/sqrt|lam|, tail <= c3 e^{-sigma/10}."""
     out = {"bulk": -np.inf, "transition": -np.inf, "tail": -np.inf}
-    for l2, sig, tag in zip(table.log_abs2, table.sigma, table.regime):
-        if not np.isfinite(l2):
-            continue
-        if tag == "bulk":
-            out["bulk"] = max(out["bulk"], l2 + np.log(table.param.abs_lam))
-        elif tag == "transition":
-            out["transition"] = max(out["transition"],
-                                    l2 + 0.5 * np.log(table.param.abs_lam))
-        else:
-            out["tail"] = max(out["tail"], l2 + 0.1 * sig)
+    for tag, term in _envelope_terms(table):
+        out[tag] = max(out[tag], term)
     return out
 
 
@@ -476,16 +469,8 @@ def check_regime_envelopes(table: DensityTable, constants: dict,
     another table; returns per-regime worst log-slack (<= log(slack) passes)."""
     log_slack = np.log(slack)
     worst = {"bulk": -np.inf, "transition": -np.inf, "tail": -np.inf}
-    for l2, sig, tag in zip(table.log_abs2, table.sigma, table.regime):
-        if not np.isfinite(l2):
-            continue
-        if tag == "bulk":
-            excess = l2 + np.log(table.param.abs_lam) - constants["bulk"]
-        elif tag == "transition":
-            excess = l2 + 0.5 * np.log(table.param.abs_lam) - constants["transition"]
-        else:
-            excess = l2 + 0.1 * sig - constants["tail"]
-        worst[tag] = max(worst[tag], excess)
+    for tag, term in _envelope_terms(table):
+        worst[tag] = max(worst[tag], term - constants[tag])
     passed = all(w <= log_slack for w in worst.values())
     return {"passed": passed, "worst_log_excess": worst,
             "allowed_log_slack": log_slack}

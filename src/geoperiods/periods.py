@@ -35,6 +35,8 @@ __all__ = [
     "coefficient_table",
     "coefficient_family",
     "check_band",
+    "check_t_grid",
+    "equator_degrees",
     "equator_norms",
     "StructuralInconsistencyError",
     "AverageBoundReport",
@@ -308,6 +310,12 @@ class AverageBoundReport:
         return lines
 
 
+def check_t_grid(t_grid):
+    """Raise ValueError unless ``check_average_bound`` can grade ``t_grid``."""
+    if len(t_grid) < 3:
+        raise ValueError("need at least three T values")
+
+
 def check_average_bound(tables, t_grid, growth_limit=3.0) -> AverageBoundReport:
     """Ratios sum_{|n|<=T} |a_n|^2 / max(T, sqrt(mu)) across a family.
 
@@ -318,8 +326,7 @@ def check_average_bound(tables, t_grid, growth_limit=3.0) -> AverageBoundReport:
     tables = list(tables)
     if len(tables) < 2:
         raise ValueError("need at least two period tables")
-    if len(t_grid) < 3:
-        raise ValueError("need at least three T values")
+    check_t_grid(t_grid)
     ratios = {}
     for tb in tables:
         label = f"{tb.curve_id}|mu={tb.mu:.4g}"
@@ -373,16 +380,34 @@ def coefficient_family(phis, curves, n_range, t_grid, threshold=1e-10,
     return tables, reports
 
 
+def equator_degrees(degrees):
+    """The degrees n = ``degrees[0]`` .. ``degrees[1]`` of ``equator_norms``;
+    ValueError unless their Y(n, n) give ``fit_restriction_exponent`` the
+    points it needs."""
+    ns = range(int(degrees[0]), int(degrees[1]) + 1)
+    _check_fit_span([sphere_harmonic(n, n).mu for n in ns])
+    return ns
+
+
 def equator_norms(degrees):
-    """Rows (n, mu, squared equator norm) of Y(n, n) for n from
-    ``degrees[0]`` to ``degrees[1]``, and their ``fit_restriction_exponent``."""
+    """Rows (n, mu, squared equator norm) of Y(n, n) over ``equator_degrees``,
+    and their ``fit_restriction_exponent``."""
     equator = SphereEquator()
     rows = []
-    for n in range(int(degrees[0]), int(degrees[1]) + 1):
+    for n in equator_degrees(degrees):
         phi = sphere_harmonic(n, n)
         rows.append((n, phi.mu,
                      restrict(phi, equator, grid=1024).norm_restriction()))
     return rows, fit_restriction_exponent([(mu, p) for _, mu, p in rows])
+
+
+def _check_fit_span(mus):
+    """Raise ValueError unless ``mus`` has five or more positive values
+    spanning a factor of 10, as ``fit_restriction_exponent`` needs."""
+    if len(mus) < 5:
+        raise ValueError("need at least five positive (mu, p) pairs")
+    if not np.min(mus) > 0 or np.max(mus) / np.min(mus) < 10.0:
+        raise ValueError("mu values must be positive and span a factor of 10")
 
 
 def fit_restriction_exponent(pairs):
@@ -393,12 +418,9 @@ def fit_restriction_exponent(pairs):
     exp(intercept) and residual the max absolute log-misfit.
     """
     pairs = [(float(m), float(p)) for m, p in pairs if p > 0]
-    if len(pairs) < 5:
-        raise ValueError("need at least five positive (mu, p) pairs")
     mus = np.array([m for m, _ in pairs])
     ps = np.array([p for _, p in pairs])
-    if np.max(mus) / np.min(mus) < 10.0:
-        raise ValueError("mu values must span at least a factor of 10")
+    _check_fit_span(mus)
     lx = np.log(mus)
     ly = np.log(ps)
     slope, intercept = np.polyfit(lx, ly, 1)

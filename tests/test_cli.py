@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import geoperiods
-from geoperiods import eigen
+from geoperiods import eigen, verify
 from geoperiods.cli import RunConfig, main
 
 from conftest import CACHE_DIR
@@ -30,7 +30,7 @@ def run_cli(args, cwd):
 
 
 def test_config_roundtrip_identity():
-    cfg = RunConfig(recipe="sphere-sharpness", sphere_degrees=[10, 30],
+    cfg = RunConfig(recipe="sphere-sharpness", sphere_degrees=[10, 40],
                     tolerances={"extract_threshold": 1e-9}, jobs=2)
     text = cfg.to_json()
     again = RunConfig.from_json(text)
@@ -202,6 +202,11 @@ def test_outputs_follow_umask(tmp_path, first_form):
     ("solve", {"parity": "both"}),
     ("sweep", {"n_range": [-2000, 2000]}),
     ("sweep", {"curves": [{"kind": "geodesic", "matrix": [[1, 1], [0, 1]]}]}),
+    ("sweep", {"t_grid": [8, 16]}),
+    ("sweep", {"recipe": "sphere-sharpness", "sphere_degrees": [10, 13]}),
+    ("sweep", {"recipe": "sphere-sharpness", "sphere_degrees": [100, 150]}),
+    ("sweep", {"recipe": "sphere-sharpness", "sphere_degrees": [0, 20]}),
+    ("sweep", {"n_range": [40]}),
 ])
 def test_bad_config_values_exit_2(command, config, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -241,3 +246,32 @@ def test_budget_override_fails_over_budget(tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     assert line.startswith("[FAIL] table-integral-identity")
     assert "OVER BUDGET" in line
+
+
+def test_bad_cache_record_exits_1_with_one_line(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    record = eigen.cache_path(cache, (9.0, 10.0), "odd", 22)
+    os.makedirs(cache)
+    with open(record, "w") as fh:
+        fh.write('{"R": 9.53')
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brackets": [[9.0, 10.0]], "t_grid": [4, 8, 16],
+                               "n_range": [-30, 30]}))
+    assert main(["--config", str(cfg), "--cache", str(cache),
+                 "--out", str(tmp_path / "out"), "sweep"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("bad cache record ")
+    assert record in err[0]
+
+
+def test_crashed_check_reports_its_budget(monkeypatch, tmp_path, capsys):
+    def boom(degrees):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "equator_norms", boom)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"checks": ["sphere-equator-sharpness"]}))
+    assert main(["--config", str(cfg), "verify"]) == 1
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("[FAIL] sphere-equator-sharpness (")
+    assert line.endswith("budget 60s) crashed: RuntimeError: boom")

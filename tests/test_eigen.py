@@ -1,14 +1,16 @@
 import dataclasses
 import glob
+import json
 import os
 
 import numpy as np
 import pytest
 
 from geoperiods import eigen
-from geoperiods.eigen import (AccuracyLossError, NoEigenvalueError,
-                              ReductionError, evaluate, laplace_residual,
-                              pullback, sphere_harmonic, torus_mode)
+from geoperiods.eigen import (AccuracyLossError, CacheRecordError,
+                              NoEigenvalueError, ReductionError, evaluate,
+                              laplace_residual, pullback, sphere_harmonic,
+                              torus_mode)
 from geoperiods.quad import integrate_periodic
 from geoperiods.specfun import bessel_k_imag
 
@@ -192,6 +194,41 @@ def test_modular_laplace_residual(first_eigenfunction):
     assert laplace_residual(first_eigenfunction, pts) < 1e-4
 
 
+# (eigenfunction, sample points); the modular case uses the first form
+_rng = np.random.default_rng(20261018)
+LAPLACE_CASES = {
+    "sphere": (sphere_harmonic(7, 4),
+               np.stack([_rng.uniform(0.4, np.pi - 0.4, 10),
+                         _rng.uniform(0, 2 * np.pi, 10)], axis=-1)),
+    "torus": (torus_mode((3, 4)), _rng.uniform(0, 1, (10, 2))),
+    "modular": (None, _rng.uniform(-0.45, 0.45, 20)
+                + 1j * _rng.uniform(0.9, 1.7, 20)),
+}
+
+
+@pytest.mark.parametrize("surface", sorted(LAPLACE_CASES))
+def test_laplace_residual_sees_a_wrong_eigenvalue(surface, first_eigenfunction):
+    phi, pts = LAPLACE_CASES[surface]
+    phi = phi or first_eigenfunction
+    assert laplace_residual(phi, pts) < 1e-4
+    off = dataclasses.replace(phi, mu=1.01 * phi.mu)
+    assert laplace_residual(off, pts) > 1e-3
+
+
+@pytest.mark.parametrize("surface", sorted(LAPLACE_CASES))
+def test_laplace_residual_fails_on_nan(surface, first_form):
+    phi, pts = LAPLACE_CASES[surface]
+    if phi is None:
+        coeffs = first_form.coefficients.copy()
+        coeffs[3] = np.nan
+        phi = eigen.as_eigenfunction(
+            dataclasses.replace(first_form, coefficients=coeffs))
+    else:
+        phi = dataclasses.replace(
+            phi, evaluator=lambda p: np.full(np.shape(p)[:-1], np.nan))
+    assert not laplace_residual(phi, pts) < 1e-4
+
+
 def test_modular_unit_norm(first_form):
     # independent, finer fundamental-domain grid than the normalizer's
     pts, wts = eigen._fundamental_domain_grid(nx=96, ny=72, y_cut=5.0)
@@ -215,12 +252,9 @@ def test_modular_coefficient_stability(first_form):
     """Coefficients a_n (n <= 10) stable under deeper truncation and a 5%
     sampling-height change."""
     R = first_form.R
-    base = eigen._solve_at(R, eigen._Collocation(0.40, 40), 14,
-                           first_form.parity)[0]
-    deeper = eigen._solve_at(R, eigen._Collocation(0.40, 48), 22,
-                             first_form.parity)[0]
-    shifted = eigen._solve_at(R, eigen._Collocation(0.38, 40), 14,
-                              first_form.parity)[0]
+    base = eigen._Collocation(0.40, 40, 14, first_form.parity).solve(R)[0]
+    deeper = eigen._Collocation(0.40, 48, 22, first_form.parity).solve(R)[0]
+    shifted = eigen._Collocation(0.38, 40, 14, first_form.parity).solve(R)[0]
     assert np.max(np.abs(base[:10] - deeper[:10])) < 1e-6
     assert np.max(np.abs(base[:10] - shifted[:10])) < 1e-6
 
@@ -235,6 +269,44 @@ def test_modular_cache_roundtrip(tmp_path, first_form):
     assert loaded.value(z) == pytest.approx(first_form.value(z), rel=1e-12)
 
 
+def _write_record(path, **changes):
+    """The first committed record, with ``changes`` applied, at ``path``."""
+    with open(COMMITTED_RECORDS[0]) as fh:
+        record = json.load(fh)
+    record.update(changes)
+    path.write_text(json.dumps(record))
+    return record
+
+
+@pytest.mark.parametrize("change,problem", [
+    ("truncated", "JSONDecodeError"),
+    ("nan_coefficient", "non-finite"),
+    ("infinite_l2_scale", "non-finite"),
+    ("short", "21 coefficients for M0 = 22"),
+    ("outside_bracket", "outside the bracket"),
+    ("unknown_parity", "parity 'both'"),
+])
+def test_bad_cache_record_is_refused(tmp_path, change, problem):
+    path = tmp_path / "record.json"
+    good = _write_record(path)
+    coeffs = good["coefficients"]
+    changes = {
+        "nan_coefficient": {"coefficients": coeffs[:5] + [np.nan] + coeffs[6:]},
+        "infinite_l2_scale": {"l2_scale": np.inf},
+        "short": {"coefficients": coeffs[:-1]},
+        "outside_bracket": {"R": good["bracket"][1] + 0.5},
+        "unknown_parity": {"parity": "both"},
+    }
+    if change == "truncated":
+        path.write_text(path.read_text()[:200])
+    else:
+        _write_record(path, **changes[change])
+    with pytest.raises(CacheRecordError) as err:
+        eigen.load_form(path)
+    assert str(path) in str(err.value)
+    assert problem in str(err.value)
+
+
 def test_modular_accuracy_floor_guard(first_form):
     with pytest.raises(AccuracyLossError):
         first_form.value(0.3 + 1.2j, floor=2.0)
@@ -243,6 +315,11 @@ def test_modular_accuracy_floor_guard(first_form):
 def test_no_eigenvalue_bracket():
     with pytest.raises(NoEigenvalueError):
         eigen.hejhal_solve((5.0, 5.5), parity="even")
+    # the parity fallback reports why each parity found nothing
+    with pytest.raises(NoEigenvalueError) as err:
+        eigen.hejhal_solve((5.0, 5.5), parity="auto")
+    assert "even: " in str(err.value)
+    assert "odd: " in str(err.value)
 
 
 def test_solver_input_validation():
