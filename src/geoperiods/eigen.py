@@ -6,9 +6,14 @@ produced by an automorphy-collocation solver: a truncated Fourier-Bessel
 expansion is sampled on a low horocycle, pulled back into the fundamental
 domain, and the implied linear system is closed by regularized least
 squares.  Eigenvalues are zeros of a two-height coefficient mismatch:
-one locator routine bisects its sign changes on a grid, over the bracket
-and then, at deeper truncation, over a narrow confirming window.
-``NoEigenvalueError`` gives every rejected candidate's reason.
+one locator routine finds its sign changes on a grid, over the bracket
+and then, at deeper truncation, over a narrow confirming window, and
+refines each by Illinois regula falsi on the exact kernel.  The bracket
+scan reads K_iR from a Chebyshev table in R per collocation (its
+arguments are fixed, only R varies); a sign change the exact kernel does
+not show at the ends is rejected.  ``NoEigenvalueError`` gives every
+rejected candidate's reason; the ``geoperiods.eigen`` logger traces the
+scans, sign changes, refinements and rejections at DEBUG.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import functools
 import glob
 import json
+import logging
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -45,6 +51,9 @@ __all__ = [
     "find_form",
     "resolve_cache_dir",
 ]
+
+
+_log = logging.getLogger(__name__)
 
 CACHE_ENV_VAR = "GEOPERIODS_CACHE"
 _CACHE_FORMAT_VERSION = 1
@@ -289,10 +298,38 @@ class _Collocation:
         self.osc_pull = osc(2.0 * np.pi * np.outer(zs.real, ns))
         self.projection = (2.0 / Q) * osc(2.0 * np.pi * np.outer(xj, ns)).T
 
-    def solve(self, R):
-        """Least-squares coefficients (a_1 = 1) at R and their residual."""
-        b = bessel_k_imag(R, self.u_pull) * self.sqrt_ys * self.osc_pull
-        c_y = bessel_k_imag(R, self.u_y) * self.sqrt_Y
+    def kernels(self, R):
+        """The exact kernel pair at R: e^{pi R/2} K_iR at the pulled-back
+        arguments and at the horocycle arguments."""
+        return bessel_k_imag(R, self.u_pull), bessel_k_imag(R, self.u_y)
+
+    def table(self, rs):
+        """The kernel pair at every R of the grid ``rs``, interpolated from
+        ``_CHEB_NODES`` exact samples at Chebyshev points of
+        [rs[0], rs[-1]] (the arguments are fixed, only R varies), and the
+        table's tail: its last two coefficients relative to each
+        argument's largest sample, at worst."""
+        lo, hi = rs[0], rs[-1]
+        t = np.cos(np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES)
+        u = np.concatenate([self.u_pull.ravel(), self.u_y])
+        samples = np.array([bessel_k_imag(r, u)
+                            for r in 0.5 * (hi + lo) + 0.5 * (hi - lo) * t])
+        vander = np.polynomial.chebyshev.chebvander
+        coeffs = (2.0 / _CHEB_NODES) * vander(t, _CHEB_NODES - 1).T @ samples
+        coeffs[0] *= 0.5
+        tail = float(np.max(np.sum(np.abs(coeffs[-2:]), axis=0)
+                            / np.max(np.abs(samples), axis=0)))
+        values = vander((2.0 * rs - (hi + lo)) / (hi - lo),
+                        _CHEB_NODES - 1) @ coeffs
+        n = self.u_pull.size
+        return [(v[:n].reshape(self.u_pull.shape), v[n:]) for v in values], tail
+
+    def solve(self, R, kernels=None):
+        """Least-squares coefficients (a_1 = 1) at R and their residual,
+        from the given kernel pair or else the exact one."""
+        k_pull, k_y = self.kernels(R) if kernels is None else kernels
+        b = k_pull * self.sqrt_ys * self.osc_pull
+        c_y = k_y * self.sqrt_Y
         a_mat = self.projection @ b - np.diag(c_y)
         sol, _, _, sv = np.linalg.lstsq(a_mat[:, 1:], -a_mat[:, 0],
                                         rcond=_RCOND)
@@ -311,38 +348,80 @@ class _Locator:
         self.coll1 = _Collocation(y1, M0 + 12, M0, parity)
         self.coll2 = _Collocation(y2, M0 + 12, M0, parity)
 
-    def indicator(self, R):
-        c1, r1 = self.coll1.solve(R)
-        c2, r2 = self.coll2.solve(R)
+    def indicator(self, R, kernels=(None, None)):
+        c1, r1 = self.coll1.solve(R, kernels[0])
+        c2, r2 = self.coll2.solve(R, kernels[1])
         return float(c1[1] - c2[1]), c1, c2, max(r1, r2)
+
+    def _table_scan(self, rs):
+        """The indicator over the grid ``rs`` from Chebyshev tables."""
+        (k1, tail1), (k2, tail2) = self.coll1.table(rs), self.coll2.table(rs)
+        _log.debug("scan of %d points over [%.6f, %.6f] from %d-node "
+                   "tables, Chebyshev tail %.1e", len(rs), rs[0], rs[-1],
+                   _CHEB_NODES, max(tail1, tail2))
+        return np.array([self.indicator(r, pair)[0]
+                         for r, pair in zip(rs, zip(k1, k2))])
+
+    def _refine(self, a, b, ga, gb):
+        """Illinois regula falsi (Dowell-Jarratt 1971) on the exact
+        indicator, from a bracket with ga * gb < 0 down to ``_ROOT_WIDTH``.
+        A step bisects instead when the last three did not halve the
+        bracket, so it never takes more than four times bisection's steps."""
+        calls, side, widths = 0, 0, [np.inf] * 3
+        while b - a > _ROOT_WIDTH:
+            c = (a * gb - b * ga) / (gb - ga)
+            if not a < c < b or b - a > 0.5 * widths[-3]:
+                c = 0.5 * (a + b)
+            widths.append(b - a)
+            gc = self.indicator(c)[0]
+            calls += 1
+            if gc == 0.0:
+                a = b = c
+            elif np.sign(gc) == np.sign(ga):
+                a, ga = c, gc
+                gb, side = (0.5 * gb if side < 0 else gb), -1
+            else:
+                b, gb = c, gc
+                ga, side = (0.5 * ga if side > 0 else ga), 1
+        _log.debug("refined to R=%.12f in %d exact indicator calls "
+                   "(%d kernel calls)", 0.5 * (a + b), calls, 4 * calls)
+        return 0.5 * (a + b)
 
     def roots(self, rs, near=None):
         """Zeros of the indicator, one per sign change over the grid ``rs``
-        (each bisected when it is reached), in grid order; with ``near``
-        only the change whose left end is nearest ``near``."""
-        gs = np.array([self.indicator(r)[0] for r in rs])
+        (each refined when it is reached), in grid order; with ``near`` only
+        the change whose left end is nearest ``near``.  A grid with more
+        points than a table has nodes is scanned from Chebyshev tables.
+        Yields (R, None), or (None, reason) for a change of a table scan
+        that the exact kernel does not show at the ends."""
+        tabled = len(rs) > _CHEB_NODES
+        gs = (self._table_scan(rs) if tabled
+              else np.array([self.indicator(r)[0] for r in rs]))
         flips = np.where(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]
         if near is not None and len(flips):
             flips = flips[[np.argmin(np.abs(rs[flips] - near))]]
         for i in flips:
-            lo, hi, g_lo = rs[i], rs[i + 1], gs[i]
-            for _ in range(_BISECT_STEPS):
-                mid = 0.5 * (lo + hi)
-                gm = self.indicator(mid)[0]
-                if np.sign(gm) == np.sign(g_lo):
-                    lo, g_lo = mid, gm
-                else:
-                    hi = mid
-            yield 0.5 * (lo + hi)
+            a, b, ga, gb = rs[i], rs[i + 1], gs[i], gs[i + 1]
+            _log.debug("sign flip in [%.6f, %.6f]", a, b)
+            if tabled:
+                ga, gb = self.indicator(a)[0], self.indicator(b)[0]
+                if not ga * gb < 0:
+                    yield None, (f"sign flip in [{a:.6f}, {b:.6f}] not "
+                                 f"confirmed by the exact kernel")
+                    continue
+            yield self._refine(a, b, ga, gb), None
 
 
-# locator scan step, bisection steps and least-squares cutoff; acceptance
-# bounds on residual and height agreement
+# locator scan step, Chebyshev nodes of a scan table, root bracket width
+# and least-squares cutoff; acceptance bounds on residual, height agreement
+# and movement under deeper truncation
 _SCAN_STEP = 0.01
-_BISECT_STEPS = 34
+_CHEB_NODES = 24
+_ROOT_WIDTH = 5e-13
 _RCOND = 1e-9
 _RESIDUAL_TOL = 1e-8
 _AGREEMENT_TOL = 1e-6
+_STABILITY_TOL = 1e-6
 
 
 def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
@@ -366,28 +445,36 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
         raise ValueError(f"unknown parity {parity!r}")
 
     reasons = []
+
+    def reject(reason):
+        _log.debug("rejected: %s", reason)
+        reasons.append(reason)
+
     for par in ("even", "odd") if parity == "auto" else (parity,):
         locator = _Locator(M0, par, y1=y0, y2=max(0.28, y0 - 0.05))
         n_reasons = len(reasons)
-        for r_loc in locator.roots(np.arange(lo, hi + _SCAN_STEP / 2,
-                                             _SCAN_STEP)):
+        for r_loc, why in locator.roots(np.arange(lo, hi + _SCAN_STEP / 2,
+                                                  _SCAN_STEP)):
+            if r_loc is None:
+                reject(f"{par}: {why}")
+                continue
             cand = f"{par}: candidate R={r_loc:.6f}"
             _, c1, c2, resid = locator.indicator(r_loc)
             agree = float(np.max(np.abs(c1[:min(8, M0)] - c2[:min(8, M0)])))
             if resid > _RESIDUAL_TOL or agree > _AGREEMENT_TOL:
-                reasons.append(f"{cand} rejected: residual={resid:.2e}, "
-                               f"height agreement={agree:.2e}")
+                reject(f"{cand} rejected: residual={resid:.2e}, "
+                       f"height agreement={agree:.2e}")
                 continue
             # confirm at deeper truncation
             deep = _Locator(M0 + 8, par, y1=min(y0, 0.35), y2=0.28)
             window = np.linspace(r_loc - 1e-4, r_loc + 1e-4, 9)
-            r_deep = next(deep.roots(window, near=r_loc), None)
+            r_deep, _ = next(deep.roots(window, near=r_loc), (None, None))
             if r_deep is None:
-                reasons.append(f"{cand} not confirmed at M0+8")
+                reject(f"{cand} not confirmed at M0+8")
                 continue
-            if abs(r_deep - r_loc) > 1e-6:
-                reasons.append(f"{cand} unstable under deeper truncation "
-                               f"(moved {abs(r_deep - r_loc):.2e})")
+            if abs(r_deep - r_loc) > _STABILITY_TOL:
+                reject(f"{cand} unstable under deeper truncation "
+                       f"(moved {abs(r_deep - r_loc):.2e})")
                 continue
             coeffs, resid_f = deep.coll1.solve(r_deep)
             form = MaassForm(R=float(r_deep), parity=par, M0=M0 + 8, y0=y0,
@@ -399,7 +486,7 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
                 float(np.sum(wts * np.abs(form.value(pts)) ** 2)))
             return form
         if len(reasons) == n_reasons:
-            reasons.append(f"{par}: no sign change of the locator")
+            reject(f"{par}: no sign change of the locator")
     raise NoEigenvalueError(f"no verified eigenvalue in [{lo:g}, {hi:g}]: "
                             + "; ".join(reasons))
 
@@ -442,7 +529,9 @@ def laplace_residual(phi: Eigenfunction, points) -> float:
     Five-point fourth-order stencils along each coordinate of the surface
     (colatitude and longitude, torus coordinates, x and y after pullback),
     one ``evaluate`` batch per axis; the residual is scaled by the largest
-    term of the eigenvalue equation.  A NaN value gives a NaN residual.
+    term of the eigenvalue equation, with mu floored at 1 (as the step is)
+    so a constant mode has a residual too.  A NaN value gives a NaN
+    residual.
     """
     h = min(1e-3, 0.05 / np.sqrt(max(phi.mu, 1.0)))
     k = np.arange(-2, 3)[:, None]
@@ -462,7 +551,7 @@ def laplace_residual(phi: Eigenfunction, points) -> float:
     else:
         lap = b ** 2 * (faa + fbb)
     num = np.abs(-lap - phi.mu * f0)
-    den = abs(phi.mu) * np.maximum(np.abs(f0), 1e-3)
+    den = max(abs(phi.mu), 1.0) * np.maximum(np.abs(f0), 1e-3)
     return float(np.max(num / den))
 
 
@@ -528,7 +617,8 @@ def save_form(form: MaassForm, path):
 
 def load_form(path) -> MaassForm:
     """The form of a cache record; CacheRecordError, naming the file, when
-    the record is unreadable or not a solved form."""
+    the record is unreadable, not a solved form, or outside the solver's
+    residual and stability tolerances."""
     try:
         with open(path) as fh:
             record = json.load(fh)
@@ -549,6 +639,10 @@ def load_form(path) -> MaassForm:
             (len(form.coefficients) == form.M0,
              f"{len(form.coefficients)} coefficients for M0 = {form.M0}"),
             (lo <= form.R <= hi, f"R outside the bracket {list(form.bracket)}"),
+            (form.residual <= _RESIDUAL_TOL,
+             f"residual {form.residual:.2e} above {_RESIDUAL_TOL:g}"),
+            (form.r_stability <= _STABILITY_TOL,
+             f"r_stability {form.r_stability:.2e} above {_STABILITY_TOL:g}"),
         ] if not ok]
     except (ValueError, KeyError, TypeError) as exc:
         problems = [f"{type(exc).__name__}: {exc}"]

@@ -1,7 +1,9 @@
 import dataclasses
 import glob
 import json
+import logging
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +231,16 @@ def test_laplace_residual_fails_on_nan(surface, first_form):
     assert not laplace_residual(phi, pts) < 1e-4
 
 
+@pytest.mark.parametrize("phi", [sphere_harmonic(0, 0), torus_mode((0, 0))],
+                         ids=lambda phi: phi.label)
+def test_laplace_residual_of_a_constant_mode(phi):
+    # mu = 0: the residual is scaled by max(mu, 1), like the stencil step
+    pts = LAPLACE_CASES[phi.surface][1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert laplace_residual(phi, pts) < 1e-4
+
+
 def test_modular_unit_norm(first_form):
     # independent, finer fundamental-domain grid than the normalizer's
     pts, wts = eigen._fundamental_domain_grid(nx=96, ny=72, y_cut=5.0)
@@ -285,6 +297,8 @@ def _write_record(path, **changes):
     ("short", "21 coefficients for M0 = 22"),
     ("outside_bracket", "outside the bracket"),
     ("unknown_parity", "parity 'both'"),
+    ("residual_above_tolerance", "residual 1.00e-07 above 1e-08"),
+    ("unstable", "r_stability 2.00e-06 above 1e-06"),
 ])
 def test_bad_cache_record_is_refused(tmp_path, change, problem):
     path = tmp_path / "record.json"
@@ -296,6 +310,8 @@ def test_bad_cache_record_is_refused(tmp_path, change, problem):
         "short": {"coefficients": coeffs[:-1]},
         "outside_bracket": {"R": good["bracket"][1] + 0.5},
         "unknown_parity": {"parity": "both"},
+        "residual_above_tolerance": {"residual": 1e-7},
+        "unstable": {"r_stability": 2e-6},
     }
     if change == "truncated":
         path.write_text(path.read_text()[:200])
@@ -320,6 +336,55 @@ def test_no_eigenvalue_bracket():
         eigen.hejhal_solve((5.0, 5.5), parity="auto")
     assert "even: " in str(err.value)
     assert "odd: " in str(err.value)
+
+
+def test_cold_solve_matches_committed_record(caplog):
+    """A cold solve reproduces the committed (13.5, 14.2) record: R, and
+    the coefficients a_1..a_12 (a_13..a_17 are poorly determined at this
+    truncation and differ between solver versions by up to 3e-5).
+    The solver's trace goes to the ``geoperiods.eigen`` logger at DEBUG."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "form_cache",
+                           "maass_even_13.5000_14.2000_M22.json")) as fh:
+        record = json.load(fh)
+    with caplog.at_level(logging.DEBUG, logger="geoperiods.eigen"):
+        form = eigen.hejhal_solve((13.5, 14.2), parity="auto")
+    assert form.parity == record["parity"]
+    assert abs(form.R - record["R"]) < 1e-9
+    assert np.max(np.abs(form.coefficients[:12]
+                         - record["coefficients"][:12])) < 1e-8
+    trace = "\n".join(r.getMessage() for r in caplog.records)
+    for step in ("scan of 71 points", "Chebyshev tail", "sign flip in",
+                 "exact indicator calls", "rejected: even: candidate"):
+        assert step in trace
+    assert {r.levelno for r in caplog.records} == {logging.DEBUG}
+
+
+def test_table_flip_without_exact_flip_is_rejected(monkeypatch):
+    # a scan table that (wrongly) changes sign between 5.09 and 5.10: the
+    # exact kernel at the two ends does not, so no candidate is refined
+    monkeypatch.setattr(eigen._Locator, "_table_scan",
+                        lambda self, rs: np.where(rs < 5.095, 1.0, -1.0))
+    with pytest.raises(NoEigenvalueError) as err:
+        eigen.hejhal_solve((5.0, 5.5), parity="even")
+    assert ("even: sign flip in [5.090000, 5.100000] not confirmed by the "
+            "exact kernel") in str(err.value)
+
+
+def test_illinois_refinement_reaches_the_root_width():
+    # a flat cubic root, the slow case for regula falsi; bisection from a
+    # width-1 bracket would need 41 steps
+    root = 0.3 + 1 / 7
+    f = lambda r: (r - root) ** 3 + 1e-6 * (r - root)
+    calls = []
+
+    class Cubic:
+        def indicator(self, r):
+            calls.append(r)
+            return (f(r),)
+
+    r = eigen._Locator._refine(Cubic(), 0.0, 1.0, f(0.0), f(1.0))
+    assert abs(r - root) < eigen._ROOT_WIDTH
+    assert len(calls) < np.log2(1.0 / eigen._ROOT_WIDTH)
 
 
 def test_solver_input_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geoperiods import quad
+from geoperiods import eigen, quad
 from geoperiods.specfun import (_NODE_LADDER, DomainError, PoleError,
                                 UnsupportedRangeError, _kappa_contour,
                                 bessel_k_imag, conical_legendre, log_gamma,
@@ -183,6 +183,40 @@ def test_node_counts_are_ladder_rungs(R):
     ladder = [int(r) for r in _NODE_LADDER]
     ref = [next((r for r in ladder if r >= v), ladder[-1]) for v in raw]
     assert n.tolist() == ref
+
+
+@pytest.mark.parametrize("R", [0.0, 0.5, 3.0, 9.5, 13.8, 20.0, 39.9])
+def test_bessel_matches_mpmath(R):
+    """Against mpmath's K_iR: below the turning point u < R (where the
+    function oscillates, so the error is scaled by its largest value
+    there), through the turning zone u ~ R, and on the real-axis branch
+    u >= 1.6 R (each value relative to itself)."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    us = (np.array([0.05, 0.5, 1.0, 3.0, 10.0]) if R == 0.0 else R * np.array(
+        [0.1, 0.3, 0.6, 0.9, 0.97, 1.0, 1.03, 1.1, 1.3, 1.6, 2.0, 3.0]))
+    ref = np.array([float(mpmath.re(mpmath.besselk(1j * R, u)
+                                    * mpmath.exp(mpmath.pi * R / 2)))
+                    for u in us])
+    below = us < R
+    scale = np.where(below, np.max(np.abs(ref), where=below, initial=0.0),
+                     np.abs(ref))
+    err = np.abs(bessel_k_imag(R, us) - ref) / scale
+    assert np.max(err) < 1e-9, us[np.argmax(err)]
+
+
+@pytest.mark.parametrize("bracket", [(9.0, 10.0), (20.0, 22.0), (38.0, 40.0)])
+def test_chebyshev_scan_table_matches_kernel(bracket):
+    # the solver's scan table against the exact kernel between its nodes,
+    # relative to each argument's largest value over the bracket
+    coll = eigen._Collocation(0.40, 26, 14, "even")
+    rs = np.linspace(*bracket, 41)
+    table, tail = coll.table(rs)
+    flat = lambda pair: np.concatenate([pair[0].ravel(), pair[1]])
+    got = np.array([flat(pair) for pair in table[1::4]])
+    exact = np.array([flat(coll.kernels(r)) for r in rs[1::4]])
+    assert np.max(np.abs(got - exact) / np.max(np.abs(exact), axis=0)) < 1e-9
+    assert tail < 1e-9
 
 
 # ------------------------------------------------------- conical_legendre
