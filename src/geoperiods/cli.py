@@ -27,6 +27,9 @@ from .periods import (check_band, check_t_grid, coefficient_family,
                       report_to_json)
 
 
+RECIPES = ("maass-restriction", "sphere-sharpness", "density-regimes")
+
+
 def _default(value):
     """A dataclass default: a fresh JSON-shaped copy of an acceptance input."""
     return field(default_factory=lambda: json.loads(json.dumps(value)))
@@ -55,8 +58,12 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self):
+        if self.recipe not in RECIPES:
+            raise ValueError(f"unknown recipe {self.recipe!r}")
         if any(t <= 0 for t in self.tolerances.values()):
             raise ValueError("tolerances must be positive")
+        if self.tolerances.get("extract_threshold", 0.0) >= 1.0:
+            raise ValueError("extract_threshold must lie in (0, 1)")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         for b in self.brackets:
@@ -64,14 +71,17 @@ class RunConfig:
                 raise ValueError(f"bad bracket {b}")
         if self.parity not in ("auto", "even", "odd"):
             raise ValueError(f"unknown parity {self.parity!r}")
-        if len(self.n_range) != 2:
-            raise ValueError(f"n_range {self.n_range} is not a pair")
+        if len(self.n_range) != 2 or self.n_range[0] > self.n_range[1]:
+            raise ValueError(f"n_range {self.n_range} is not an ascending pair")
         if self.recipe == "maass-restriction":
             check_band(self.n_range)
             if len(self.brackets) >= 2:     # the averaged bound needs a family
                 check_t_grid(self.t_grid)
         if self.recipe == "sphere-sharpness":
             equator_degrees(self.sphere_degrees)
+        if (self.recipe == "density-regimes"
+                and any(q <= 0 for q in self.q_values)):
+            raise ValueError(f"q_values {self.q_values} must be positive")
         self.orbits             # builds every curve, raising on a bad spec
         return self
 
@@ -192,10 +202,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         return _sweep_sphere(cfg, out)
     if cfg.recipe == "density-regimes":
         return _sweep_densities(cfg, out)
-    if cfg.recipe == "maass-restriction":
-        return _sweep_maass(cfg, cache, out)
-    print(f"unknown recipe {cfg.recipe!r}", file=sys.stderr)
-    return 2
+    return _sweep_maass(cfg, cache, out)
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:

@@ -424,20 +424,16 @@ def test_vector(T: float, param: SpectralParam) -> ModelVector:
 def vector_norm_sq(v: ModelVector) -> float:
     """Unitary-model squared norm of a line vector: (1/pi) int_R |v|^2 dx
     (equals the circle-model (1/2pi) int |f|^2 dphi)."""
-    if v.support is not None:
-        lo, hi = v.support
-        res = quad.integrate_adaptive(lambda x: np.abs(v(x)) ** 2, lo, hi)
-        half = res.value.real
-        other = half if v.even else quad.integrate_adaptive(
-            lambda x: np.abs(v(x)) ** 2, -hi, -lo).value.real
-        return float((half + other) / np.pi)
-    # map the line to a bounded interval through x = tan(t)
-    def h(t):
-        x = np.tan(t)
-        return np.abs(v(x)) ** 2 / np.cos(t) ** 2
+    def sq(x):
+        return np.abs(v(x)) ** 2
 
-    res = quad.integrate_adaptive(h, -np.pi / 2 + 1e-12, np.pi / 2 - 1e-12)
-    return float(res.value.real / np.pi)
+    if v.support is None:
+        res = quad.integrate_adaptive(sq, -np.inf, np.inf)
+        return float(res.value.real / np.pi)
+    lo, hi = v.support
+    half = quad.integrate_adaptive(sq, lo, hi).value.real
+    other = half if v.even else quad.integrate_adaptive(sq, -hi, -lo).value.real
+    return float((half + other) / np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,9 @@ class RestrictionProfile:
 def restrict(phi: Eigenfunction, curve, grid=1024) -> RestrictionProfile:
     """Sample phi along the curve's mass-one parametrization.
 
-    The grid is a power of two >= 256; the profile is also sampled at
-    double density and the change of the restriction norm recorded
-    (stability < 1e-6 relative is asserted downstream, not here).
+    The grid is a power of two >= 256.  The profile is also sampled at
+    double density, and the relative change of the restriction norm
+    between the two grids is recorded as ``resample_change``, not checked.
     """
     if grid < 256 or (grid & (grid - 1)) != 0:
         raise ValueError("grid must be a power of two >= 256")
@@ -314,6 +314,8 @@ def check_t_grid(t_grid):
     """Raise ValueError unless ``check_average_bound`` can grade ``t_grid``."""
     if len(t_grid) < 3:
         raise ValueError("need at least three T values")
+    if any(t <= 0 for t in t_grid):
+        raise ValueError(f"T values {list(t_grid)} must be positive")
 
 
 def check_average_bound(tables, t_grid, growth_limit=3.0) -> AverageBoundReport:
@@ -337,24 +339,21 @@ def check_average_bound(tables, t_grid, growth_limit=3.0) -> AverageBoundReport:
 
     def growth(seq):
         seq = [s for s in seq if s > 0]
-        if len(seq) < 2:
-            return 1.0
         g = 1.0
         for i in range(len(seq)):
             for j in range(i + 1, len(seq)):
                 g = max(g, seq[j] / seq[i])
         return g
 
-    g_t = max(growth(list(row.values())) for row in ratios.values())
+    def spread(seq):
+        seq = [s for s in seq if s > 0]
+        return max(seq) / min(seq) if seq else 1.0
+
     rows = list(ratios.values())
-    g_f = 1.0
-    for t in map(float, t_grid):
-        col = [row[t] for row in rows if row[t] > 0]
-        if len(col) >= 2:
-            g_f = max(g_f, max(col) / min(col))
-    all_vals = [v for row in ratios.values() for v in row.values() if v > 0]
-    var_t = max((max(row.values()) / min(v for v in row.values() if v > 0))
-                for row in ratios.values())
+    g_t = max(growth(row.values()) for row in rows)
+    g_f = max(spread(row[t] for row in rows) for t in map(float, t_grid))
+    var_t = max(spread(row.values()) for row in rows)
+    all_vals = [v for row in rows for v in row.values() if v > 0]
     return AverageBoundReport(
         t_grid=tuple(float(t) for t in t_grid), ratios=ratios,
         empirical_constant=max(all_vals) if all_vals else np.nan,

@@ -1,9 +1,11 @@
 """Quadrature engines.
 
-Three workhorses: adaptive Gauss-Kronrod on (possibly infinite) intervals
-with declared algebraic endpoint/interior singularities, a doubling
-trapezoid rule for smooth periodic integrands on [0, 1), and a composite
-oscillatory integrator whose node density follows the phase derivative.
+One engine per job: adaptive Gauss-Kronrod on (possibly infinite)
+intervals with declared algebraic endpoint/interior singularities, an FFT
+trapezoid rule with doubling for the Fourier coefficients of a smooth
+1-periodic integrand on [0, 1) (the mean is coefficient 0,
+``periodic_fourier(f, 0)[0][0]``), and a composite oscillatory integrator
+whose node density follows the phase derivative.
 ``modelrep.model_functional`` uses the oscillatory integrator for
 compactly supported vectors and for generic vectors after x = e^u; the
 rotation-invariant vector has its own kernel,
@@ -27,7 +29,6 @@ __all__ = [
     "ConvergenceError",
     "ResolutionError",
     "integrate_adaptive",
-    "integrate_periodic",
     "periodic_fourier",
     "oscillatory_integral",
     "PhaseReport",
@@ -53,10 +54,6 @@ class QuadratureResult:
     value: complex
     error_estimate: float
     evaluations: int
-
-    @property
-    def real(self):
-        return self.value.real
 
 
 # --- Gauss-Kronrod 7-15 nodes/weights (standard pair on [-1, 1]) ----------
@@ -93,8 +90,11 @@ def _gk_panel(f, a, b):
     return vk, abs(vk - vg), 15
 
 
+_ABS_TOL = 1e-14
+
+
 def integrate_adaptive(f, a, b, singular_exponent_at=None,
-                       rel_tol=1e-10, abs_tol=1e-14, budget=200_000):
+                       rel_tol=1e-10, budget=200_000):
     """Adaptive Gauss-Kronrod integration of ``f`` on [a, b].
 
     ``singular_exponent_at = (point, alpha)`` declares an algebraic
@@ -109,8 +109,7 @@ def integrate_adaptive(f, a, b, singular_exponent_at=None,
     err = 0.0
     neval = 0
     for g, lo, hi in pieces:
-        v, e, n = _adaptive_core(g, lo, hi, rel_tol, abs_tol,
-                                 budget - neval)
+        v, e, n = _adaptive_core(g, lo, hi, rel_tol, budget - neval)
         total += v
         err += e
         neval += n
@@ -119,35 +118,31 @@ def integrate_adaptive(f, a, b, singular_exponent_at=None,
 
 def _split_for_singularity(f, a, b, spec):
     if spec is None:
-        return list(_map_infinite(f, a, b))
+        return _map_infinite(f, a, b)
     point, alpha = spec
     if alpha <= -1.0:
         raise ValueError(f"singular exponent {alpha:g} <= -1 is not integrable")
     if not (a <= point <= b):
         raise ValueError("declared singularity lies outside the interval")
-    out = []
     p = 1.0 / (1.0 + alpha)
 
-    def right_piece(g, lo_len):
-        # int_point^{point+len} f = int_0^{len^{1/p}} f(point+u^p) p u^{p-1} du
-        def h(u, g=g):
-            x = point + u ** p
-            return g(x) * p * u ** (p - 1.0)
-        return h, 0.0, lo_len ** (1.0 / p)
+    def side(sign, length):
+        # int over x = point + sign * u^p, u in [0, length^{1/p}]
+        def h(u):
+            return f(point + sign * u ** p) * p * u ** (p - 1.0)
+        return h, 0.0, length ** (1.0 / p)
 
-    if point > a:
-        # mirror the left side onto a right-sided transform
-        def gleft(u):
-            x = point - u ** p
-            return f(x) * p * u ** (p - 1.0)
-        out.append((gleft, 0.0, (point - a) ** (1.0 / p)))
-    if point < b:
-        if np.isinf(b):
-            # split at point+1; transform [point, point+1], map the rest
-            out.append(right_piece(f, 1.0))
-            out.extend(_map_infinite(f, point + 1.0, b))
+    out = []
+    for sign, end in ((-1.0, a), (1.0, b)):
+        length = sign * (end - point)
+        if length <= 0:
+            continue
+        if np.isinf(length):
+            # transform the unit piece next to the point, map the rest
+            out.append(side(sign, 1.0))
+            out.extend(_map_infinite(f, *sorted((point + sign, end))))
         else:
-            out.append(right_piece(f, b - point))
+            out.append(side(sign, length))
     return out
 
 
@@ -158,28 +153,25 @@ def _map_infinite(f, a, b):
         def g(u):
             d = 1.0 - u * u
             return f(u / d) * (1.0 + u * u) / (d * d)
-        yield g, -1.0 + 1e-14, 1.0 - 1e-14
-    elif np.isinf(b):
+        return [(g, -1.0 + 1e-14, 1.0 - 1e-14)]
+    if np.isinf(a):
+        # (-inf, b] is the mirror of [-b, inf)
+        return _map_infinite(lambda x: f(-x), -b, np.inf)
+    if np.isinf(b):
         # x = a + u/(1-u), u in [0, 1)
         def g(u):
             d = 1.0 - u
             return f(a + u / d) / (d * d)
-        yield g, 0.0, 1.0 - 1e-14
-    elif np.isinf(a):
-        def g(u):
-            d = 1.0 - u
-            return f(b - u / d) / (d * d)
-        yield g, 0.0, 1.0 - 1e-14
-    else:
-        yield f, float(a), float(b)
+        return [(g, 0.0, 1.0 - 1e-14)]
+    return [(f, float(a), float(b))]
 
 
-def _adaptive_core(f, a, b, rel_tol, abs_tol, budget):
+def _adaptive_core(f, a, b, rel_tol, budget):
     v, e, n = _gk_panel(f, a, b)
     stack = [(a, b, v, e)]
     total_v, total_e, neval = v, e, n
     while True:
-        tol = max(abs_tol, rel_tol * abs(total_v))
+        tol = max(_ABS_TOL, rel_tol * abs(total_v))
         if total_e <= tol or not stack:
             break
         if neval >= budget:
@@ -202,45 +194,24 @@ def _adaptive_core(f, a, b, rel_tol, abs_tol, budget):
 
 # ---------------------------------------------------------------------------
 
-
-def integrate_periodic(f, rel_tol=1e-12, abs_tol=1e-14, n_start=64,
-                       max_doublings=16):
-    """Trapezoid rule with doubling for a smooth 1-periodic integrand on [0,1).
-
-    Spectrally accurate; the reported error estimate is the last doubling
-    change.  Raises ConvergenceError if the doubling limit is reached.
-    """
-    n = n_start
-    prev = None
-    neval = 0
-    for _ in range(max_doublings):
-        theta = np.arange(n) / n
-        vals = np.asarray(f(theta), dtype=complex)
-        cur = np.mean(vals)
-        neval += n
-        if prev is not None:
-            change = abs(cur - prev)
-            if change <= max(abs_tol, rel_tol * abs(cur)):
-                return QuadratureResult(value=cur,
-                                        error_estimate=change + 1e-16 * abs(cur),
-                                        evaluations=neval)
-        prev = cur
-        n *= 2
-    raise ConvergenceError(
-        f"integrate_periodic: no convergence after {max_doublings} doublings",
-        best=prev, error_estimate=abs(cur - prev) if prev is not None else None)
+_FOURIER_REL_TOL = 1e-11
+_FOURIER_MAX_DOUBLINGS = 12
 
 
-def periodic_fourier(f, n_max, rel_tol=1e-11, n_start=None, max_doublings=12):
+def periodic_fourier(f, n_max, n_start=None):
     """Fourier coefficients ``int_0^1 f(theta) e^{-2 pi i n theta} dtheta``
-    for |n| <= n_max, by FFT with doubling-based error control.
+    for |n| <= n_max of a smooth 1-periodic ``f``, by FFT trapezoid sums
+    on n_start, 2 n_start, ... points until two successive spectra agree
+    to 1e-11 of their largest entry.
 
-    Returns (coefficients indexed n = -n_max..n_max, error_estimate, evals).
+    Returns (coefficients indexed n = -n_max..n_max, error_estimate, evals),
+    the estimate being the last doubling's change.  Raises
+    ConvergenceError if the spectrum has not settled after 12 grids.
     """
     n = n_start or max(256, 1 << int(np.ceil(np.log2(8 * max(n_max, 1)))))
     prev = None
     neval = 0
-    for _ in range(max_doublings):
+    for _ in range(_FOURIER_MAX_DOUBLINGS):
         theta = np.arange(n) / n
         vals = np.asarray(f(theta), dtype=complex)
         c = np.fft.fft(vals) / n
@@ -250,7 +221,7 @@ def periodic_fourier(f, n_max, rel_tol=1e-11, n_start=None, max_doublings=12):
         if prev is not None:
             change = float(np.max(np.abs(cur - prev)))
             scale = float(np.max(np.abs(cur))) + 1e-300
-            if change <= rel_tol * scale + 1e-15:
+            if change <= _FOURIER_REL_TOL * scale + 1e-15:
                 return cur, change, neval
         prev = cur
         n *= 2
@@ -303,27 +274,30 @@ class PhaseReport:
 
 
 _FD_STEP = 1e-5
+_PHASE_GRID = 4096
+_DEGENERATE_TOL = 1e-6
+_MAX_CRITICAL_POINTS = 64
 
 
-def analyze_phase(phase, domain, derivative=None, second_derivative=None,
-                  grid=4096, degenerate_tol=1e-6, max_points=64):
+def analyze_phase(phase, domain):
     """Locate and classify zeros of phase' on ``domain = (a, b)``.
 
-    Derivatives default to central differences at step 1e-5.  A critical
-    point with |phase''| below ``degenerate_tol`` (times the phase-scale)
-    is inspected at third order and reported with degeneracy order 3.
+    Derivatives are central differences at step 1e-5; phase' is scanned on
+    a 4096-point grid, and more than 64 critical points raise
+    ResolutionError.  A critical point with |phase''| below 1e-6 times the
+    phase scale is inspected at third order and reported with degeneracy
+    order 3.
     """
     a, b = domain
 
-    if derivative is None:
-        def derivative(x):
-            return (phase(x + _FD_STEP) - phase(x - _FD_STEP)) / (2 * _FD_STEP)
-    if second_derivative is None:
-        def second_derivative(x):
-            return ((phase(x + _FD_STEP) - 2.0 * phase(x)
-                     + phase(x - _FD_STEP)) / _FD_STEP ** 2)
+    def derivative(x):
+        return (phase(x + _FD_STEP) - phase(x - _FD_STEP)) / (2 * _FD_STEP)
 
-    xs = np.linspace(a, b, grid)
+    def second_derivative(x):
+        return ((phase(x + _FD_STEP) - 2.0 * phase(x)
+                 + phase(x - _FD_STEP)) / _FD_STEP ** 2)
+
+    xs = np.linspace(a, b, _PHASE_GRID)
     ds = np.asarray(derivative(xs), dtype=float)
     flips = np.where(np.sign(ds[:-1]) * np.sign(ds[1:]) < 0)[0]
     exact = np.where(ds == 0.0)[0]
@@ -334,9 +308,9 @@ def analyze_phase(phase, domain, derivative=None, second_derivative=None,
     scale0 = max(float(np.max(absd)), 1.0)
     touch = 1 + np.where((absd[1:-1] <= absd[:-2]) & (absd[1:-1] <= absd[2:])
                          & (absd[1:-1] < 1e-5 * scale0) & (absd[1:-1] > 0))[0]
-    if len(flips) + len(exact) + len(touch) > max_points:
-        raise ResolutionError(
-            f"analyze_phase: more than {max_points} critical points resolved")
+    if len(flips) + len(exact) + len(touch) > _MAX_CRITICAL_POINTS:
+        raise ResolutionError(f"analyze_phase: more than "
+                              f"{_MAX_CRITICAL_POINTS} critical points resolved")
 
     crits = []
     seen = []
@@ -375,7 +349,7 @@ def analyze_phase(phase, domain, derivative=None, second_derivative=None,
             continue
         seen.append(c)
         d2 = float(second_derivative(c))
-        if abs(d2) > degenerate_tol * phase_scale:
+        if abs(d2) > _DEGENERATE_TOL * phase_scale:
             points.append((c, d2, 2))
         else:
             points.append((c, d2, 3))

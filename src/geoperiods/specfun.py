@@ -79,7 +79,9 @@ def _log_sin_pi(z):
 
 
 def log_gamma(z):
-    """Principal-branch log Gamma for complex scalar or array input.
+    """log Gamma for complex scalar or array input: the principal branch
+    for Re z >= 1/2, and below it the reflection formula's value, which
+    can differ from the principal branch by a multiple of 2 pi i.
 
     Raises PoleError when z sits within 1e-10 of a nonpositive integer.
     """
@@ -183,13 +185,11 @@ def _kappa_contour(R, u):
     return delta, sd, cd, rate, smax, n
 
 
-def bessel_k_imag(R, u, node_scale=1.0):
+def bessel_k_imag(R, u):
     """Scaled modified Bessel function ``e^{pi R/2} K_{iR}(u)``.
 
     ``u`` may be a scalar or an array of positive reals; ``0 <= R <= 40``.
-    ``node_scale`` multiplies the quadrature node budget (used by accuracy
-    studies; the default is already good to ~1e-9 relative where the value
-    is not vanishingly small).
+    Good to ~1e-9 relative where the value is not vanishingly small.
     """
     R = float(R)
     if R < 0.0:
@@ -204,8 +204,6 @@ def bessel_k_imag(R, u, node_scale=1.0):
         raise DomainError("bessel_k_imag: u must be positive")
     out = np.empty(uu.shape)
     delta, sd, cd, rate, smax, nn = _kappa_contour(R, uu)
-    if node_scale != 1.0:
-        nn = _round_nodes(nn * node_scale)
     pref = np.exp(R * (np.pi / 2 - delta) - rate)
     # one vectorized pass per distinct node count (grids differ via smax)
     for n in np.unique(nn):

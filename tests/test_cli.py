@@ -207,6 +207,12 @@ def test_outputs_follow_umask(tmp_path, first_form):
     ("sweep", {"recipe": "sphere-sharpness", "sphere_degrees": [100, 150]}),
     ("sweep", {"recipe": "sphere-sharpness", "sphere_degrees": [0, 20]}),
     ("sweep", {"n_range": [40]}),
+    ("sweep", {"n_range": [5, -5]}),
+    ("sweep", {"recipe": "density-regimes", "n_range": [5, -5]}),
+    ("sweep", {"recipe": "density-regimes", "q_values": [0]}),
+    ("sweep", {"t_grid": [8, 0, 32]}),
+    ("sweep", {"recipe": "no-such-recipe"}),
+    ("sweep", {"tolerances": {"extract_threshold": 2.0}}),
 ])
 def test_bad_config_values_exit_2(command, config, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -13,7 +13,7 @@ from geoperiods.eigen import (AccuracyLossError, CacheRecordError,
                               NoEigenvalueError, ReductionError, evaluate,
                               laplace_residual, pullback, sphere_harmonic,
                               torus_mode)
-from geoperiods.quad import integrate_periodic
+from geoperiods.quad import periodic_fourier
 from geoperiods.specfun import bessel_k_imag
 
 RNG = np.random.default_rng(13)
@@ -52,13 +52,17 @@ def test_sphere_unit_norm(n, m):
     assert sphere_norm_sq(sphere_harmonic(n, m)) == pytest.approx(1.0, abs=1e-9)
 
 
+def equator_norm_sq(phi):
+    """int |phi|^2 over the equator, by the periodic FFT mean."""
+    mean = periodic_fourier(lambda th: evaluate(
+        phi, np.stack([np.full_like(th, np.pi / 2), 2 * np.pi * th],
+                      axis=-1)) ** 2, 0)[0][0]
+    return 2 * np.pi * mean.real
+
+
 def test_sphere_equator_y11_norm():
     # restriction-norm of Y(1,1) over the full equator equals 3/4
-    y11 = sphere_harmonic(1, 1)
-    res = integrate_periodic(lambda th: evaluate(
-        y11, np.stack([np.full_like(th, np.pi / 2), 2 * np.pi * th],
-                      axis=-1)) ** 2)
-    assert abs(2 * np.pi * res.value.real - 0.75) < 1e-12
+    assert abs(equator_norm_sq(sphere_harmonic(1, 1)) - 0.75) < 1e-12
 
 
 def test_sphere_equator_closed_form():
@@ -68,22 +72,14 @@ def test_sphere_equator_closed_form():
     for k in range(1, n + 1):
         ratio *= (2 * k - 1) / (2 * k)
     expect = (2 * n + 1) / 2.0 * ratio
-    ynn = sphere_harmonic(n, n)
-    res = integrate_periodic(lambda th: evaluate(
-        ynn, np.stack([np.full_like(th, np.pi / 2), 2 * np.pi * th],
-                      axis=-1)) ** 2)
-    assert abs(2 * np.pi * res.value.real - expect) < 1e-10
+    assert abs(equator_norm_sq(sphere_harmonic(n, n)) - expect) < 1e-10
 
 
 def test_sphere_highest_weight_quarter_power():
     """p(Y(n,n)) tracks c mu^{1/4}: fit c on degrees 10..40, then the
     degree-50 value lands within 5%."""
     def p_eq(n):
-        phi = sphere_harmonic(n, n)
-        res = integrate_periodic(lambda th: evaluate(
-            phi, np.stack([np.full_like(th, np.pi / 2), 2 * np.pi * th],
-                          axis=-1)) ** 2)
-        return 2 * np.pi * res.value.real
+        return equator_norm_sq(sphere_harmonic(n, n))
 
     cs = [p_eq(n) / (n * (n + 1)) ** 0.25 for n in range(10, 41, 5)]
     c_fit = np.mean(cs)

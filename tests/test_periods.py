@@ -271,11 +271,24 @@ def test_average_bound_flags_growth():
     assert rep.max_growth_t > 3.0
 
 
+def test_average_bound_without_coefficients():
+    # every coefficient skipped (a threshold above every density entry):
+    # all ratios are zero and every growth measure reads 1
+    tables = [unit_table(mu) for mu in (30.0, 100.0)]
+    for tb in tables:
+        tb.a = {}
+    rep = check_average_bound(tables, (8, 16, 32))
+    assert rep.variation_t == rep.max_growth_t == rep.max_growth_forms == 1.0
+    assert rep.passed
+
+
 def test_average_bound_input_validation():
     with pytest.raises(ValueError):
         check_average_bound([unit_table(10.0)], (8, 16, 32))
     with pytest.raises(ValueError):
         check_average_bound([unit_table(10.0), unit_table(20.0)], (8, 16))
+    with pytest.raises(ValueError):
+        check_average_bound([unit_table(10.0), unit_table(20.0)], (0, 8, 16))
 
 
 # ------------------------------------------------------------ exponent fit
