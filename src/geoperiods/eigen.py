@@ -194,16 +194,60 @@ def pullback(z: complex, max_steps=200) -> complex:
     raise ReductionError(f"pullback: {z0} not reduced in {max_steps} steps")
 
 
-class _KappaTable:
-    """Cubic interpolant of u -> e^{pi R/2} K_{iR}(u) on a log grid."""
+def _cheb_nodes(n):
+    """The n first-kind Chebyshev points cos(pi (k + 1/2) / n) of [-1, 1]."""
+    return np.cos(np.pi * (np.arange(n) + 0.5) / n)
 
-    def __init__(self, R, u_min, u_max, points=8192):
+
+def _cheb_fit(t, samples):
+    """Chebyshev coefficients (along axis 0) of the interpolant through
+    ``samples`` (along axis 0) at the first-kind points ``t``, and its
+    tail: the last two coefficients relative to the largest sample of
+    each column, at worst."""
+    n = len(t)
+    coeffs = ((2.0 / n) * np.polynomial.chebyshev.chebvander(t, n - 1).T
+              @ samples)
+    coeffs[0] *= 0.5
+    tail = float(np.max(np.sum(np.abs(coeffs[-2:]), axis=0)
+                        / np.max(np.abs(samples), axis=0)))
+    return coeffs, tail
+
+
+def _clenshaw(coeffs, x, columns=...):
+    """sum_k coeffs[k][columns] T_k(x) by Clenshaw's recurrence.
+
+    ``columns`` picks each x its own column of coefficients (a panel
+    index per point), one degree at a time, so no len(x) x degree array
+    is formed."""
+    b1 = b2 = 0.0
+    for c in coeffs[:0:-1]:
+        b1, b2 = c[columns] + 2.0 * x * b1 - b2, b1
+    return coeffs[0][columns] + x * b1 - b2
+
+
+class _KappaTable:
+    """Cubic interpolant of u -> e^{pi R/2} K_{iR}(u) on a log grid.
+
+    The grid of ``_KAPPA_GRID`` points is filled by Clenshaw from
+    Chebyshev interpolants on ``_KAPPA_PANELS`` equal panels in log u,
+    each through ``_KAPPA_NODES`` exact ``bessel_k_imag`` samples."""
+
+    def __init__(self, R, u_min, u_max):
         self.lo = np.log(u_min)
         self.hi = np.log(u_max)
-        self.n = points
-        grid = np.exp(np.linspace(self.lo, self.hi, points))
-        self.values = bessel_k_imag(R, grid)
-        self.step = (self.hi - self.lo) / (points - 1)
+        self.n = _KAPPA_GRID
+        self.step = (self.hi - self.lo) / (self.n - 1)
+        width = (self.hi - self.lo) / _KAPPA_PANELS
+        t = _cheb_nodes(_KAPPA_NODES)
+        mids = self.lo + width * (np.arange(_KAPPA_PANELS) + 0.5)
+        samples = bessel_k_imag(R, np.exp(mids + 0.5 * width * t[:, None]))
+        coeffs, tail = _cheb_fit(t, samples)
+        s = np.linspace(0.0, _KAPPA_PANELS, self.n)
+        panel = np.minimum(s.astype(int), _KAPPA_PANELS - 1)
+        self.values = _clenshaw(coeffs, 2.0 * (s - panel) - 1.0, panel)
+        _log.debug("K_iR table at R=%.6f: %d exact Bessel points (%d panels "
+                   "x %d nodes), %d-point grid, worst panel tail %.1e",
+                   R, samples.size, _KAPPA_PANELS, _KAPPA_NODES, self.n, tail)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -307,20 +351,15 @@ class _Collocation:
         """The kernel pair at every R of the grid ``rs``, interpolated from
         ``_CHEB_NODES`` exact samples at Chebyshev points of
         [rs[0], rs[-1]] (the arguments are fixed, only R varies), and the
-        table's tail: its last two coefficients relative to each
-        argument's largest sample, at worst."""
+        table's tail (see ``_cheb_fit``), worst over the arguments."""
         lo, hi = rs[0], rs[-1]
-        t = np.cos(np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES)
+        t = _cheb_nodes(_CHEB_NODES)
         u = np.concatenate([self.u_pull.ravel(), self.u_y])
         samples = np.array([bessel_k_imag(r, u)
                             for r in 0.5 * (hi + lo) + 0.5 * (hi - lo) * t])
-        vander = np.polynomial.chebyshev.chebvander
-        coeffs = (2.0 / _CHEB_NODES) * vander(t, _CHEB_NODES - 1).T @ samples
-        coeffs[0] *= 0.5
-        tail = float(np.max(np.sum(np.abs(coeffs[-2:]), axis=0)
-                            / np.max(np.abs(samples), axis=0)))
-        values = vander((2.0 * rs - (hi + lo)) / (hi - lo),
-                        _CHEB_NODES - 1) @ coeffs
+        coeffs, tail = _cheb_fit(t, samples)
+        values = np.polynomial.chebyshev.chebvander(
+            (2.0 * rs - (hi + lo)) / (hi - lo), _CHEB_NODES - 1) @ coeffs
         n = self.u_pull.size
         return [(v[:n].reshape(self.u_pull.shape), v[n:]) for v in values], tail
 
@@ -414,7 +453,8 @@ class _Locator:
 
 # locator scan step, Chebyshev nodes of a scan table, root bracket width
 # and least-squares cutoff; acceptance bounds on residual, height agreement
-# and movement under deeper truncation
+# and movement under deeper truncation; a form's K_iR table: panels in
+# log u, Chebyshev nodes per panel and points of the cubic grid
 _SCAN_STEP = 0.01
 _CHEB_NODES = 24
 _ROOT_WIDTH = 5e-13
@@ -422,6 +462,9 @@ _RCOND = 1e-9
 _RESIDUAL_TOL = 1e-8
 _AGREEMENT_TOL = 1e-6
 _STABILITY_TOL = 1e-6
+_KAPPA_PANELS = 32
+_KAPPA_NODES = 24
+_KAPPA_GRID = 32768
 
 
 def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:

@@ -148,6 +148,96 @@ def test_kappa_table_matches_direct_series(record):
     assert err <= 1e-9 * np.max(np.abs(direct))
 
 
+def test_kappa_table_matches_bessel_across_R():
+    # a form's K_iR table against bessel_k_imag itself over its whole
+    # domain, from the lowest committed R up to the solver's range
+    bounds = {9.53: 1e-11, 13.78: 1e-11, 25.0: 1e-10, 39.9: 1e-9}
+    rng = np.random.default_rng(20261018)
+    errors = {}
+    for R, bound in bounds.items():
+        lo, hi = 2.0 * np.pi * 0.28, 60.0 + 2.0 * R
+        u = np.exp(rng.uniform(np.log(lo), np.log(hi), 4000))
+        direct = bessel_k_imag(R, u)
+        err = np.max(np.abs(eigen._KappaTable(R, lo, hi)(u) - direct))
+        errors[R] = err / np.max(np.abs(direct))
+    assert all(errors[R] <= bound for R, bound in bounds.items()), errors
+
+
+def test_kappa_table_build_is_traced(caplog):
+    # one DEBUG line per form, however often the form is evaluated
+    forms = [eigen.load_form(r) for r in COMMITTED_RECORDS]
+    z = np.array([0.1 + 1.0j, -0.3 + 2.0j])
+    with caplog.at_level(logging.DEBUG, logger="geoperiods.eigen"):
+        for form in forms:
+            form.value(z)
+            form.value(z)
+    lines = [r for r in caplog.records if "exact Bessel points" in r.getMessage()]
+    assert len(lines) == len(COMMITTED_RECORDS) == 3
+    assert {r.levelno for r in lines} == {logging.DEBUG}
+    for form, line in zip(forms, lines):
+        message = line.getMessage()
+        assert f"R={form.R:.6f}" in message
+        for part in ("768 exact Bessel points", "32 panels x 24 nodes",
+                     "32768-point grid", "worst panel tail"):
+            assert part in message
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="geoperiods.eigen"):
+        eigen.load_form(COMMITTED_RECORDS[0]).value(z)
+    assert not caplog.records
+
+
+def test_chebyshev_helper_matches_chebval():
+    rng = np.random.default_rng(7)
+    coeffs = rng.standard_normal(24)
+    x = rng.uniform(-1.0, 1.0, 500)
+    ref = np.polynomial.chebyshev.chebval(x, coeffs)
+    assert np.max(np.abs(eigen._clenshaw(coeffs, x) - ref)) <= 1e-14 * np.max(
+        np.abs(ref))
+    # fitting the values at the nodes gives the coefficients back
+    t = eigen._cheb_nodes(24)
+    fit, _ = eigen._cheb_fit(t, np.polynomial.chebyshev.chebval(t, coeffs))
+    assert np.max(np.abs(fit - coeffs)) <= 1e-14 * np.max(np.abs(coeffs))
+    # per-point coefficient columns: each x evaluates its own column
+    table = rng.standard_normal((24, 3))
+    cols = rng.integers(0, 3, x.size)
+    ref = np.array([np.polynomial.chebyshev.chebval(xi, table[:, c])
+                    for xi, c in zip(x, cols)])
+    assert np.max(np.abs(eigen._clenshaw(table, x, cols) - ref)) <= 1e-13
+
+
+def test_chebyshev_helper_is_exact_on_degree_23():
+    # 24 nodes interpolate a degree-23 polynomial exactly, to rounding
+    poly = np.polynomial.Polynomial(np.random.default_rng(8).standard_normal(24))
+    t = eigen._cheb_nodes(24)
+    x = np.linspace(-1.0, 1.0, 301)
+    got = eigen._clenshaw(eigen._cheb_fit(t, poly(t))[0], x)
+    assert np.max(np.abs(got - poly(x))) <= 1e-12 * np.max(np.abs(poly(x)))
+
+
+def test_collocation_table_matches_vandermonde_fit():
+    # the acceptance scan table of (13.5, 14.2) against the Vandermonde
+    # fit and evaluation written out in full
+    coll = eigen._Collocation(0.40, 26, 14, "even")
+    rs = np.arange(13.5, 14.2 + 0.005, 0.01)
+    pairs, tail = coll.table(rs)
+    nodes = eigen._CHEB_NODES
+    t = np.cos(np.pi * (np.arange(nodes) + 0.5) / nodes)
+    u = np.concatenate([coll.u_pull.ravel(), coll.u_y])
+    lo, hi = rs[0], rs[-1]
+    samples = np.array([bessel_k_imag(r, u)
+                        for r in 0.5 * (hi + lo) + 0.5 * (hi - lo) * t])
+    vander = np.polynomial.chebyshev.chebvander
+    coeffs = (2.0 / nodes) * vander(t, nodes - 1).T @ samples
+    coeffs[0] *= 0.5
+    ref = vander((2.0 * rs - (hi + lo)) / (hi - lo), nodes - 1) @ coeffs
+    got = np.array([np.concatenate([p.ravel(), y]) for p, y in pairs])
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    ref_tail = np.max(np.sum(np.abs(coeffs[-2:]), axis=0)
+                      / np.max(np.abs(samples), axis=0))
+    assert tail == pytest.approx(ref_tail, rel=1e-12)
+
+
 def test_find_form_prefers_highest_m0(tmp_path, first_form):
     # the same form under two truncations, its coefficients zero-padded
     for m0 in (first_form.M0, first_form.M0 + 8):
