@@ -6,7 +6,7 @@ restriction-norm exponents they control."""
 from .hypgeom import (GroupElement, GeodesicOrbit, CircleOrbit, mobius_act,
                       hyperbolic_distance, geodesic_orbit_from_matrix,
                       circle_orbit)
-from .specfun import log_gamma, table_integral, bessel_k_imag, conical_legendre
+from .specfun import log_gamma, table_integral, bessel_k_imag
 from .modelrep import (SpectralParam, ModelVector, k_fixed_vector, pi_action,
                        model_functional, DensityTable, density_b, density_c,
                        test_vector)

@@ -36,7 +36,6 @@ __all__ = [
     "NoEigenvalueError",
     "CacheRecordError",
     "ConditioningError",
-    "AccuracyLossError",
     "ReductionError",
     "sphere_harmonic",
     "torus_mode",
@@ -78,10 +77,6 @@ class ConditioningError(Exception):
 
 class CacheRecordError(ValueError):
     """A cache record that is unreadable or not a solved form."""
-
-
-class AccuracyLossError(Exception):
-    pass
 
 
 class ReductionError(Exception):
@@ -300,16 +295,13 @@ class MaassForm:
             self._table = _KappaTable(self.R, 2.0 * np.pi * 0.28, u_max)
         return self._table
 
-    def value(self, z, floor=0.05):
+    def value(self, z):
         """Evaluate at complex z (scalar or array), pulling back first.
 
         The K_iR kernel comes from the cubic table of ``_ensure_table``.
         """
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
         pts = np.array([pullback(w) for w in zz.ravel()])
-        if np.any(pts.imag < floor):
-            raise AccuracyLossError(
-                f"evaluation height below {floor:g} after pullback")
         x = pts.real
         y = pts.imag
         osc = np.cos if self.parity == "even" else np.sin

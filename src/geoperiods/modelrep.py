@@ -256,18 +256,6 @@ class DensityTable:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.entries)))
 
-    def index_symmetric(self, tol=1e-9) -> bool:
-        """entry(-n) == entry(n): the kernel frequency enters through its
-        square for geodesics, and the circle Jacobian is even in theta."""
-        n0, n1 = int(self.n_values[0]), int(self.n_values[-1])
-        ok = True
-        for n in self.n_values:
-            if -n < n0 or -n > n1:
-                continue
-            ok &= abs(self.entry(int(n)) - self.entry(int(-n))) <= \
-                tol * max(1.0, abs(self.entry(int(n))))
-        return bool(ok)
-
 
 # half-width of the transition regime, as a fraction of the edge frequency
 _SIGMA_FRAC = 0.1

@@ -300,15 +300,6 @@ class AverageBoundReport:
     variation_t: float
     passed: bool
 
-    def summary_lines(self):
-        lines = [f"empirical constant sup ratio = {self.empirical_constant:.4g}",
-                 f"max growth along T: {self.max_growth_t:.3g}x, across "
-                 f"forms: {self.max_growth_forms:.3g}x"]
-        for label, row in self.ratios.items():
-            cells = ", ".join(f"T={t:g}: {r:.4g}" for t, r in row.items())
-            lines.append(f"  {label}: {cells}")
-        return lines
-
 
 def check_t_grid(t_grid):
     """Raise ValueError unless ``check_average_bound`` can grade ``t_grid``."""

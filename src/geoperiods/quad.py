@@ -10,29 +10,22 @@ whose node density follows the phase derivative.
 compactly supported vectors and for generic vectors after x = e^u; the
 rotation-invariant vector has its own kernel,
 ``modelrep.k_fixed_functional``, a trapezoid sum folded into one FFT.
-``analyze_phase`` locates and classifies stationary points of a phase
-function.  No pipeline calls it: the density tables tag regimes by fixed
-fractions of the turning frequency, and the tests use ``analyze_phase``
-as an independent check of those tags.
 
 Integrands must accept numpy arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "QuadratureResult",
     "ConvergenceError",
-    "ResolutionError",
     "integrate_adaptive",
     "periodic_fourier",
     "oscillatory_integral",
-    "PhaseReport",
-    "analyze_phase",
 ]
 
 
@@ -43,10 +36,6 @@ class ConvergenceError(Exception):
         super().__init__(message)
         self.best = best
         self.error_estimate = error_estimate
-
-
-class ResolutionError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -261,103 +250,3 @@ def oscillatory_integral(amplitude_phase, a, b, freq_max):
     return QuadratureResult(value=v2, error_estimate=abs(v2 - v1),
                             evaluations=n1 + n2)
 
-
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhaseReport:
-    """Critical points of a phase: (location, phase'', degeneracy order)."""
-
-    critical_points: list = field(default_factory=list)
-    regime: str = "no-critical-point"   # or nondegenerate / cubic-degenerate
-
-
-_FD_STEP = 1e-5
-_PHASE_GRID = 4096
-_DEGENERATE_TOL = 1e-6
-_MAX_CRITICAL_POINTS = 64
-
-
-def analyze_phase(phase, domain):
-    """Locate and classify zeros of phase' on ``domain = (a, b)``.
-
-    Derivatives are central differences at step 1e-5; phase' is scanned on
-    a 4096-point grid, and more than 64 critical points raise
-    ResolutionError.  A critical point with |phase''| below 1e-6 times the
-    phase scale is inspected at third order and reported with degeneracy
-    order 3.
-    """
-    a, b = domain
-
-    def derivative(x):
-        return (phase(x + _FD_STEP) - phase(x - _FD_STEP)) / (2 * _FD_STEP)
-
-    def second_derivative(x):
-        return ((phase(x + _FD_STEP) - 2.0 * phase(x)
-                 + phase(x - _FD_STEP)) / _FD_STEP ** 2)
-
-    xs = np.linspace(a, b, _PHASE_GRID)
-    ds = np.asarray(derivative(xs), dtype=float)
-    flips = np.where(np.sign(ds[:-1]) * np.sign(ds[1:]) < 0)[0]
-    exact = np.where(ds == 0.0)[0]
-    # zero-touching critical points (phase' dips to zero without a sign
-    # change, the even-order degenerate case): local minima of |phase'|
-    # reaching ~zero relative to the phase scale
-    absd = np.abs(ds)
-    scale0 = max(float(np.max(absd)), 1.0)
-    touch = 1 + np.where((absd[1:-1] <= absd[:-2]) & (absd[1:-1] <= absd[2:])
-                         & (absd[1:-1] < 1e-5 * scale0) & (absd[1:-1] > 0))[0]
-    if len(flips) + len(exact) + len(touch) > _MAX_CRITICAL_POINTS:
-        raise ResolutionError(f"analyze_phase: more than "
-                              f"{_MAX_CRITICAL_POINTS} critical points resolved")
-
-    crits = []
-    seen = []
-    for i in flips:
-        lo, hi = xs[i], xs[i + 1]
-        dlo = ds[i]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if hi - lo < 1e-8:
-                break
-            dm = float(derivative(mid))
-            if np.sign(dm) == np.sign(dlo):
-                lo, dlo = mid, dm
-            else:
-                hi = mid
-        crits.append(0.5 * (lo + hi))
-    for i in exact:
-        crits.append(float(xs[i]))
-    for i in touch:
-        lo, hi = xs[i - 1], xs[i + 1]
-        for _ in range(80):                 # ternary search on |phase'|
-            if hi - lo < 1e-9:
-                break
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if abs(float(derivative(m1))) <= abs(float(derivative(m2))):
-                hi = m2
-            else:
-                lo = m1
-        crits.append(0.5 * (lo + hi))
-
-    phase_scale = max(float(np.max(np.abs(ds))), 1.0)
-    points = []
-    for c in sorted(crits):
-        if seen and abs(c - seen[-1]) < 1e-7 * (b - a):
-            continue
-        seen.append(c)
-        d2 = float(second_derivative(c))
-        if abs(d2) > _DEGENERATE_TOL * phase_scale:
-            points.append((c, d2, 2))
-        else:
-            points.append((c, d2, 3))
-
-    if not points:
-        regime = "no-critical-point"
-    elif any(p[2] == 3 for p in points):
-        regime = "cubic-degenerate"
-    else:
-        regime = "nondegenerate"
-    return PhaseReport(critical_points=points, regime=regime)

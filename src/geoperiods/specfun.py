@@ -2,8 +2,7 @@
 
 Complex log-gamma (Lanczos), the Beta-type integral
 ``int |x|^s (1+x^2)^t dx``, the modified Bessel function of purely
-imaginary order in the scaled form ``e^{pi R/2} K_{iR}(u)``, and conical
-(associated Legendre) functions ``P^{-n}_{-1/2+it}(x)`` for ``x >= 1``.
+imaginary order in the scaled form ``e^{pi R/2} K_{iR}(u)``.
 
 Everything here is plain float64 numerics; arbitrary-precision checks
 live in the test suite only.
@@ -21,7 +20,6 @@ __all__ = [
     "log_gamma",
     "table_integral",
     "bessel_k_imag",
-    "conical_legendre",
 ]
 
 
@@ -220,36 +218,3 @@ def bessel_k_imag(R, u):
         return float(out[0])
     return out.reshape(np.shape(u))
 
-
-# ---------------------------------------------------------------------------
-# conical Legendre functions P^{-n}_{-1/2+it}(x), x >= 1, via the
-# Gegenbauer-type integral
-#   P^{-n}_nu(x) = (x^2-1)^{n/2} / (2^n sqrt(pi) Gamma(n+1/2))
-#                  * int_0^pi (x + sqrt(x^2-1) cos psi)^{nu-n} sin(psi)^{2n} dpsi
-
-
-def conical_legendre(t, n, x):
-    """Legendre function P^{-n}_{-1/2+it}(x) for integer n >= 0 and x >= 1.
-
-    Real for real t and x >= 1 (the imaginary part of the integral cancels);
-    the real part is returned.
-    """
-    if n < 0 or int(n) != n:
-        raise DomainError("conical_legendre: order n must be a nonnegative integer")
-    n = int(n)
-    x = float(x)
-    t = float(t)
-    if x < 1.0:
-        raise DomainError(f"conical_legendre: x = {x:g} < 1 outside the hyperbolic range")
-    if x == 1.0:
-        return 1.0 if n == 0 else 0.0
-    xs, w = _gauss(512)
-    psi = 0.5 * np.pi * (xs + 1.0)
-    wp = 0.5 * np.pi * w
-    base = x + np.sqrt(x * x - 1.0) * np.cos(psi)
-    nu = complex(-0.5, t)
-    integral = np.sum(wp * np.sin(psi) ** (2 * n)
-                      * np.exp((nu - n) * np.log(base)))
-    pref = ((x * x - 1.0) ** (n / 2.0) / (2.0 ** n * np.sqrt(np.pi))
-            * np.exp(-float(log_gamma(n + 0.5).real)))
-    return float((pref * integral).real)

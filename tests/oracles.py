@@ -1,0 +1,191 @@
+"""Independent checks that the test suite compares the package against.
+
+Nothing in ``geoperiods`` calls these: the density tables tag regimes by
+fixed fractions of the turning frequency, and the circle densities come
+from periodic quadrature.  ``analyze_phase`` cross-checks the regime tags
+by locating stationary points of the phase, and ``conical_legendre``
+cross-checks the circle densities against the radial Legendre factor.
+``index_symmetric`` and ``summary_lines`` read tables and reports the
+package returns.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from geoperiods.specfun import DomainError
+
+
+# ------------------------------------------------------------- phase scan
+
+
+class ResolutionError(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class PhaseReport:
+    """Critical points of a phase: (location, phase'', degeneracy order)."""
+
+    critical_points: list = field(default_factory=list)
+    regime: str = "no-critical-point"   # or nondegenerate / cubic-degenerate
+
+
+_FD_STEP = 1e-5
+_PHASE_GRID = 4096
+_DEGENERATE_TOL = 1e-6
+_MAX_CRITICAL_POINTS = 64
+
+
+def analyze_phase(phase, domain):
+    """Locate and classify zeros of phase' on ``domain = (a, b)``.
+
+    Derivatives are central differences at step 1e-5; phase' is scanned on
+    a 4096-point grid, and more than 64 critical points raise
+    ResolutionError.  A critical point with |phase''| below 1e-6 times the
+    phase scale is inspected at third order and reported with degeneracy
+    order 3.
+    """
+    a, b = domain
+
+    def derivative(x):
+        return (phase(x + _FD_STEP) - phase(x - _FD_STEP)) / (2 * _FD_STEP)
+
+    def second_derivative(x):
+        return ((phase(x + _FD_STEP) - 2.0 * phase(x)
+                 + phase(x - _FD_STEP)) / _FD_STEP ** 2)
+
+    xs = np.linspace(a, b, _PHASE_GRID)
+    ds = np.asarray(derivative(xs), dtype=float)
+    flips = np.where(np.sign(ds[:-1]) * np.sign(ds[1:]) < 0)[0]
+    exact = np.where(ds == 0.0)[0]
+    # zero-touching critical points (phase' dips to zero without a sign
+    # change, the even-order degenerate case): local minima of |phase'|
+    # reaching ~zero relative to the phase scale
+    absd = np.abs(ds)
+    scale0 = max(float(np.max(absd)), 1.0)
+    touch = 1 + np.where((absd[1:-1] <= absd[:-2]) & (absd[1:-1] <= absd[2:])
+                         & (absd[1:-1] < 1e-5 * scale0) & (absd[1:-1] > 0))[0]
+    if len(flips) + len(exact) + len(touch) > _MAX_CRITICAL_POINTS:
+        raise ResolutionError(f"analyze_phase: more than "
+                              f"{_MAX_CRITICAL_POINTS} critical points resolved")
+
+    crits = []
+    seen = []
+    for i in flips:
+        lo, hi = xs[i], xs[i + 1]
+        dlo = ds[i]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if hi - lo < 1e-8:
+                break
+            dm = float(derivative(mid))
+            if np.sign(dm) == np.sign(dlo):
+                lo, dlo = mid, dm
+            else:
+                hi = mid
+        crits.append(0.5 * (lo + hi))
+    for i in exact:
+        crits.append(float(xs[i]))
+    for i in touch:
+        lo, hi = xs[i - 1], xs[i + 1]
+        for _ in range(80):                 # ternary search on |phase'|
+            if hi - lo < 1e-9:
+                break
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            if abs(float(derivative(m1))) <= abs(float(derivative(m2))):
+                hi = m2
+            else:
+                lo = m1
+        crits.append(0.5 * (lo + hi))
+
+    phase_scale = max(float(np.max(np.abs(ds))), 1.0)
+    points = []
+    for c in sorted(crits):
+        if seen and abs(c - seen[-1]) < 1e-7 * (b - a):
+            continue
+        seen.append(c)
+        d2 = float(second_derivative(c))
+        if abs(d2) > _DEGENERATE_TOL * phase_scale:
+            points.append((c, d2, 2))
+        else:
+            points.append((c, d2, 3))
+
+    if not points:
+        regime = "no-critical-point"
+    elif any(p[2] == 3 for p in points):
+        regime = "cubic-degenerate"
+    else:
+        regime = "nondegenerate"
+    return PhaseReport(critical_points=points, regime=regime)
+
+
+# ------------------------------------------------------- conical Legendre
+# P^{-n}_{-1/2+it}(x), x >= 1, via the Gegenbauer-type integral
+#   P^{-n}_nu(x) = (x^2-1)^{n/2} / (2^n sqrt(pi) Gamma(n+1/2))
+#                  * int_0^pi (x + sqrt(x^2-1) cos psi)^{nu-n} sin(psi)^{2n} dpsi
+
+_GL512 = np.polynomial.legendre.leggauss(512)
+
+
+def conical_legendre(t, n, x):
+    """Legendre function P^{-n}_{-1/2+it}(x) for integer n >= 0 and x >= 1.
+
+    Real for real t and x >= 1 (the imaginary part of the integral cancels);
+    the real part is returned.  Where that cancellation leaves the value
+    tiny, relative accuracy is lost: against ``mpmath.legenp`` at t = 40,
+    n = 5, x = 5 the value is -6.6e-11 and the relative error 1.2e-7
+    (absolute 7.8e-18).  ``test_conical_matches_mpmath`` therefore grades
+    relative 1e-8 plus a 1e-15 absolute floor.
+    """
+    if n < 0 or int(n) != n:
+        raise DomainError("conical_legendre: order n must be a nonnegative integer")
+    n = int(n)
+    x = float(x)
+    t = float(t)
+    if x < 1.0:
+        raise DomainError(f"conical_legendre: x = {x:g} < 1 outside the hyperbolic range")
+    if x == 1.0:
+        return 1.0 if n == 0 else 0.0
+    xs, w = _GL512
+    psi = 0.5 * np.pi * (xs + 1.0)
+    wp = 0.5 * np.pi * w
+    base = x + np.sqrt(x * x - 1.0) * np.cos(psi)
+    nu = complex(-0.5, t)
+    integral = np.sum(wp * np.sin(psi) ** (2 * n)
+                      * np.exp((nu - n) * np.log(base)))
+    pref = ((x * x - 1.0) ** (n / 2.0) / (2.0 ** n * np.sqrt(np.pi))
+            * math.exp(-math.lgamma(n + 0.5)))
+    return float((pref * integral).real)
+
+
+# ------------------------------------------------------ tables and reports
+
+
+def index_symmetric(table, tol=1e-9) -> bool:
+    """entry(-n) == entry(n) across a ``DensityTable``: the kernel frequency
+    enters through its square for geodesics, and the circle Jacobian is
+    even in theta."""
+    n0, n1 = int(table.n_values[0]), int(table.n_values[-1])
+    ok = True
+    for n in table.n_values:
+        if -n < n0 or -n > n1:
+            continue
+        ok &= abs(table.entry(int(n)) - table.entry(int(-n))) <= \
+            tol * max(1.0, abs(table.entry(int(n))))
+    return bool(ok)
+
+
+def summary_lines(report):
+    """Printable lines of an ``AverageBoundReport``."""
+    lines = [f"empirical constant sup ratio = {report.empirical_constant:.4g}",
+             f"max growth along T: {report.max_growth_t:.3g}x, across "
+             f"forms: {report.max_growth_forms:.3g}x"]
+    for label, row in report.ratios.items():
+        cells = ", ".join(f"T={t:g}: {r:.4g}" for t, r in row.items())
+        lines.append(f"  {label}: {cells}")
+    return lines

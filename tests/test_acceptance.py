@@ -8,6 +8,7 @@ runtime budget.
 from geoperiods import verify
 
 from conftest import CACHE_DIR
+from oracles import summary_lines
 
 
 def _run(name):
@@ -59,7 +60,7 @@ def test_criterion_09_average_bound_boundedness():
     res = _run("average-bound-boundedness")
     rep_g = res.extras["geodesic"]
     rep_c = res.extras["circle"]
-    for line in rep_g.summary_lines() + rep_c.summary_lines():
+    for line in summary_lines(rep_g) + summary_lines(rep_c):
         print("  ", line)
 
 

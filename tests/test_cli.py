@@ -14,9 +14,12 @@ from geoperiods.cli import RunConfig, main
 
 from conftest import CACHE_DIR
 
-# The directory that holds the imported package.  The child runs in
+# Most tests call ``main`` in this process.  Two launch the real
+# ``python -m geoperiods.cli`` entry point through ``run_cli``: the
+# malformed-config exit and one density sweep.  The child runs in
 # tmp_path, where a relative PYTHONPATH (such as ``src``) no longer
-# resolves, so this absolute root goes first on the child's path.
+# resolves, so the directory that holds the imported package goes first
+# on the child's path.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
     geoperiods.__file__)))
 
@@ -27,6 +30,13 @@ def run_cli(args, cwd):
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "geoperiods.cli"] + args,
                           cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def run_main(args, capsys):
+    """``main(args)`` in this process, returned in ``run_cli``'s shape."""
+    code = main(args)
+    captured = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, captured.out, captured.err)
 
 
 def test_config_roundtrip_identity():
@@ -62,16 +72,17 @@ def test_malformed_config_exits_2(tmp_path):
     assert "config error" in res.stderr
 
 
-def test_sphere_sweep_deterministic(tmp_path):
+def test_sphere_sweep_deterministic(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"recipe": "sphere-sharpness",
                                "surface": "sphere",
                                "sphere_degrees": [10, 40],
                                "out_dir": "out"}))
-    r1 = run_cli(["--config", str(cfg), "sweep"], tmp_path)
+    r1 = run_main(["--config", str(cfg), "sweep"], capsys)
     assert r1.returncode == 0, r1.stderr
     first = (tmp_path / "out" / "sphere_sharpness.csv").read_bytes()
-    r2 = run_cli(["--config", str(cfg), "sweep"], tmp_path)
+    r2 = run_main(["--config", str(cfg), "sweep"], capsys)
     assert r2.returncode == 0, r2.stderr
     assert (tmp_path / "out" / "sphere_sharpness.csv").read_bytes() == first
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -91,51 +102,55 @@ def test_density_sweep_csv_shape(tmp_path):
     assert (tmp_path / "out" / "density_c_lam20.csv").exists()
 
 
-def test_missing_cache_instructive_error(tmp_path):
+def test_missing_cache_instructive_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"recipe": "maass-restriction",
                                "brackets": [[11.0, 11.5]],
                                "cache_dir": str(tmp_path / "empty")}))
-    res = run_cli(["--config", str(cfg), "sweep"], tmp_path)
+    res = run_main(["--config", str(cfg), "sweep"], capsys)
     assert res.returncode == 1, res.stderr
     assert "solve" in res.stderr
 
 
-def test_solve_no_brackets_warns_exit_zero(tmp_path):
+def test_solve_no_brackets_warns_exit_zero(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"brackets": []}))
-    res = run_cli(["--config", str(cfg), "solve"], tmp_path)
+    res = run_main(["--config", str(cfg), "solve"], capsys)
     assert res.returncode == 0, res.stderr
     assert "nothing to do" in res.stderr
 
 
-def test_verify_subset_pass_and_forced_failure(tmp_path):
+def test_verify_subset_pass_and_forced_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     # a cheap check passes with defaults and fails under an absurd override
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"checks": ["table-integral-identity"]}))
-    res = run_cli(["--config", str(cfg), "verify"], tmp_path)
+    res = run_main(["--config", str(cfg), "verify"], capsys)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "[PASS] table-integral-identity" in res.stdout
 
     cfg.write_text(json.dumps({
         "checks": ["table-integral-identity"],
         "tolerances": {"table-integral-identity.rel_tol": 1e-30}}))
-    res = run_cli(["--config", str(cfg), "verify"], tmp_path)
+    res = run_main(["--config", str(cfg), "verify"], capsys)
     assert res.returncode == 1, res.stdout + res.stderr
     assert "[FAIL] table-integral-identity" in res.stdout
 
 
-def test_verify_skips_without_cache(tmp_path):
+def test_verify_skips_without_cache(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "checks": ["maass-solver-self-consistency"],
         "cache_dir": str(tmp_path / "nocache")}))
-    res = run_cli(["--config", str(cfg), "verify"], tmp_path)
+    res = run_main(["--config", str(cfg), "verify"], capsys)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "[SKIP]" in res.stdout
 
 
-def test_maass_sweep_from_cache(tmp_path):
+def test_maass_sweep_from_cache(tmp_path, monkeypatch, capsys):
     if not os.path.isdir(CACHE_DIR) or not os.listdir(CACHE_DIR):
         pytest.skip("no solved-form cache available")
     cfg = tmp_path / "cfg.json"
@@ -145,7 +160,8 @@ def test_maass_sweep_from_cache(tmp_path):
                                "n_range": [-30, 30],
                                "cache_dir": os.path.abspath(CACHE_DIR),
                                "out_dir": "out"}))
-    res = run_cli(["--config", str(cfg), "sweep"], tmp_path)
+    monkeypatch.chdir(tmp_path)         # after CACHE_DIR is made absolute
+    res = run_main(["--config", str(cfg), "sweep"], capsys)
     assert res.returncode == 0, res.stderr
     files = os.listdir(tmp_path / "out")
     assert "summary.json" in files
@@ -153,7 +169,9 @@ def test_maass_sweep_from_cache(tmp_path):
     assert any(f.startswith("periods_circle") for f in files)
 
 
-def test_non_default_m0_record_found_by_sweep_and_verify(tmp_path, first_form):
+def test_non_default_m0_record_found_by_sweep_and_verify(tmp_path, first_form,
+                                                        monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     # the R ~ 9.53 form saved only as an M0 = 30 record (zero-padded
     # coefficients, so the form itself is unchanged)
     cache = tmp_path / "cache"
@@ -169,16 +187,17 @@ def test_non_default_m0_record_found_by_sweep_and_verify(tmp_path, first_form):
                                "checks": ["maass-solver-self-consistency"],
                                "cache_dir": str(cache),
                                "out_dir": "out"}))
-    res = run_cli(["--config", str(cfg), "sweep"], tmp_path)
+    res = run_main(["--config", str(cfg), "sweep"], capsys)
     assert res.returncode == 0, res.stderr
     assert any(f.startswith("periods_geodesic")
                for f in os.listdir(tmp_path / "out"))
-    res = run_cli(["--config", str(cfg), "verify"], tmp_path)
+    res = run_main(["--config", str(cfg), "verify"], capsys)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "[PASS] maass-solver-self-consistency" in res.stdout
 
 
-def test_outputs_follow_umask(tmp_path, first_form):
+def test_outputs_follow_umask(tmp_path, first_form, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     record = tmp_path / "cache" / "form.json"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"recipe": "sphere-sharpness",
@@ -187,7 +206,7 @@ def test_outputs_follow_umask(tmp_path, first_form):
     old = os.umask(0o022)
     try:
         eigen.save_form(first_form, record)
-        res = run_cli(["--config", str(cfg), "sweep"], tmp_path)
+        res = run_main(["--config", str(cfg), "sweep"], capsys)
     finally:
         os.umask(old)
     assert res.returncode == 0, res.stderr

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from geoperiods import eigen
-from geoperiods.eigen import (AccuracyLossError, CacheRecordError,
-                              NoEigenvalueError, ReductionError, evaluate,
-                              laplace_residual, pullback, sphere_harmonic,
-                              torus_mode)
+from geoperiods.eigen import (CacheRecordError, NoEigenvalueError,
+                              ReductionError, evaluate, laplace_residual,
+                              pullback, sphere_harmonic, torus_mode)
 from geoperiods.quad import periodic_fourier
 from geoperiods.specfun import bessel_k_imag
 
@@ -409,9 +408,13 @@ def test_bad_cache_record_is_refused(tmp_path, change, problem):
     assert problem in str(err.value)
 
 
-def test_modular_accuracy_floor_guard(first_form):
-    with pytest.raises(AccuracyLossError):
-        first_form.value(0.3 + 1.2j, floor=2.0)
+def test_modular_value_far_below_the_fundamental_domain(first_form):
+    # pullback lands at height >= sqrt(3)/2, so a point this low is
+    # evaluated at its image without loss
+    z = 0.3 + 0.01j
+    v = first_form.value(z)
+    assert np.isfinite(v)
+    assert v == first_form.value(pullback(z))
 
 
 def test_no_eigenvalue_bracket():

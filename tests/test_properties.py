@@ -1,6 +1,7 @@
 """Property-based checks of the group law, the Mobius action and the
 fundamental-domain reduction (hypothesis, derandomized so reruns agree)."""
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -49,4 +50,5 @@ def test_pullback_lands_in_the_fundamental_domain_and_stays(z):
     assert abs(w.real) <= 0.5
     assert abs(w) >= 1.0 - 1e-15
     assert w.imag > 0
+    assert w.imag >= np.sqrt(3) / 2 - 1e-12
     assert pullback(w) == w

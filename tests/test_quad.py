@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from geoperiods.quad import (ConvergenceError, ResolutionError,
-                             analyze_phase, integrate_adaptive,
+from geoperiods.quad import (ConvergenceError, integrate_adaptive,
                              oscillatory_integral, periodic_fourier)
 from geoperiods.specfun import table_integral
+
+from oracles import ResolutionError, analyze_phase
 
 RNG = np.random.default_rng(7)
 

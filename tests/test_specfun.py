@@ -4,8 +4,9 @@ import pytest
 from geoperiods import eigen, quad
 from geoperiods.specfun import (_NODE_LADDER, DomainError, PoleError,
                                 UnsupportedRangeError, _kappa_contour,
-                                bessel_k_imag, conical_legendre, log_gamma,
-                                table_integral)
+                                bessel_k_imag, log_gamma, table_integral)
+
+from oracles import conical_legendre
 
 RNG = np.random.default_rng(42)
 
