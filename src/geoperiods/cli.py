@@ -40,7 +40,6 @@ class RunConfig:
     """Run settings; the defaults are the acceptance inputs of ``verify``."""
 
     recipe: str = "maass-restriction"
-    surface: str = "modular"
     brackets: list = _default(verify.ACCEPTANCE_BRACKETS)
     parity: str = "auto"
     M0: int = 14
@@ -66,11 +65,7 @@ class RunConfig:
             raise ValueError("extract_threshold must lie in (0, 1)")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        for b in self.brackets:
-            if len(b) != 2 or not (0 < b[0] < b[1]):
-                raise ValueError(f"bad bracket {b}")
-        if self.parity not in ("auto", "even", "odd"):
-            raise ValueError(f"unknown parity {self.parity!r}")
+        eigen.check_solve(self.brackets, self.parity, self.M0, self.y0)
         if len(self.n_range) != 2 or self.n_range[0] > self.n_range[1]:
             raise ValueError(f"n_range {self.n_range} is not an ascending pair")
         if self.recipe == "maass-restriction":
@@ -114,13 +109,11 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         print("solve: no brackets configured; nothing to do", file=sys.stderr)
         return 0
     os.makedirs(cache, exist_ok=True)
-    summary = []
     for bracket in cfg.brackets:
         form = eigen.hejhal_solve(tuple(bracket), parity=cfg.parity,
                                   M0=cfg.M0, y0=cfg.y0)
         path = eigen.cache_path(cache, bracket, form.parity, form.M0)
         eigen.save_form(form, path)
-        summary.append((bracket, form))
         print(f"solved [{bracket[0]:g}, {bracket[1]:g}]: R={form.R:.9f} "
               f"({form.parity}), residual {form.residual:.2e}, "
               f"R-stability {form.r_stability:.2e} -> {path}")
@@ -168,13 +161,14 @@ def _sweep_sphere(cfg: RunConfig, out):
                     format(slope, ".17g")])
     _atomic_write(os.path.join(out, "sphere_sharpness.csv"), buf.getvalue())
     report_to_json(os.path.join(out, "summary.json"), "sphere", [],
-                   fits={"equator_exponent": slope, "constant": const,
-                         "max_log_misfit": resid})
+                   extra={"fits": {"equator_exponent": slope, "constant": const,
+                                   "max_log_misfit": resid}})
     print(f"sphere equator exponent: {slope:.4f} (constant {const:.4g})")
     return 0
 
 
 def _sweep_densities(cfg: RunConfig, out):
+    g = GroupElement(verify.MODEL_CIRCLE_ELEMENT)
     for lam_abs in cfg.lambdas:
         par = SpectralParam(lam=1j * float(lam_abs))
         for q in cfg.q_values:
@@ -182,9 +176,6 @@ def _sweep_densities(cfg: RunConfig, out):
                            (cfg.n_range[0], cfg.n_range[1]))
             density_to_csv(tb, os.path.join(
                 out, f"density_b_lam{lam_abs:g}_q{q:g}.csv"))
-    g = GroupElement(verify.MODEL_CIRCLE_ELEMENT)
-    for lam_abs in cfg.lambdas:
-        par = SpectralParam(lam=1j * float(lam_abs))
         tb = density_c(par, g, (cfg.n_range[0], cfg.n_range[1]))
         density_to_csv(tb, os.path.join(out, f"density_c_lam{lam_abs:g}.csv"))
     report_to_json(os.path.join(out, "summary.json"), "model", [],

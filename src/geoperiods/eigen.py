@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .specfun import bessel_k_imag
+from .specfun import _BESSEL_R_MAX, bessel_k_imag
 
 __all__ = [
     "Eigenfunction",
@@ -40,6 +40,7 @@ __all__ = [
     "sphere_harmonic",
     "torus_mode",
     "hejhal_solve",
+    "check_solve",
     "as_eigenfunction",
     "evaluate",
     "pullback",
@@ -443,11 +444,13 @@ class _Locator:
             yield self._refine(a, b, ga, gb), None
 
 
-# locator scan step, Chebyshev nodes of a scan table, root bracket width
-# and least-squares cutoff; acceptance bounds on residual, height agreement
-# and movement under deeper truncation; a form's K_iR table: panels in
-# log u, Chebyshev nodes per panel and points of the cubic grid
+# locator scan step, half width of the confirming window, Chebyshev nodes
+# of a scan table, root bracket width and least-squares cutoff; acceptance
+# bounds on residual, height agreement and movement under deeper
+# truncation; a form's K_iR table: panels in log u, Chebyshev nodes per
+# panel and points of the cubic grid
 _SCAN_STEP = 0.01
+_WINDOW = 1e-4
 _CHEB_NODES = 24
 _ROOT_WIDTH = 5e-13
 _RCOND = 1e-9
@@ -457,6 +460,25 @@ _STABILITY_TOL = 1e-6
 _KAPPA_PANELS = 32
 _KAPPA_NODES = 24
 _KAPPA_GRID = 32768
+# the solver evaluates R below hi + (_SCAN_STEP / 2 + _WINDOW)
+_R_MAX = _BESSEL_R_MAX - (_SCAN_STEP / 2 + _WINDOW)
+
+
+def check_solve(r_brackets, parity, M0, y0):
+    """Raise ValueError unless ``hejhal_solve`` takes every bracket of
+    ``r_brackets`` with these settings: 0 < lo < hi <= ``_R_MAX``,
+    hi - lo <= 2, an integer M0 >= 2, 0 < y0 < sqrt(3)/2, a known parity."""
+    if parity not in ("auto", "even", "odd"):
+        raise ValueError(f"unknown parity {parity!r}")
+    if not isinstance(M0, (int, np.integer)) or M0 < 2:
+        raise ValueError(f"M0 = {M0!r} must be an integer >= 2")
+    if not 0 < y0 < np.sqrt(3.0) / 2.0:
+        raise ValueError(f"y0 = {y0!r} must lie in (0, sqrt(3)/2)")
+    for b in r_brackets:
+        if len(b) != 2 or not (0 < b[0] < b[1] <= _R_MAX
+                               and b[1] - b[0] <= 2.0):
+            raise ValueError(f"bad bracket {list(b)}: need 0 < lo < hi <= "
+                             f"{_R_MAX:g} and hi - lo <= 2 (split it)")
 
 
 def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
@@ -469,15 +491,8 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
     agreement fail the tolerances are rejected.  If nothing survives,
     NoEigenvalueError carries the reason of every parity and candidate.
     """
+    check_solve([r_bracket], parity, M0, y0)
     lo, hi = float(r_bracket[0]), float(r_bracket[1])
-    if not (0 < lo < hi):
-        raise ValueError("hejhal_solve: need 0 < lo < hi")
-    if hi - lo > 2.0:
-        raise ValueError("hejhal_solve: bracket too wide; split it")
-    if not (0 < y0 < np.sqrt(3.0) / 2.0):
-        raise ValueError("hejhal_solve: y0 must lie in (0, sqrt(3)/2)")
-    if parity not in ("auto", "even", "odd"):
-        raise ValueError(f"unknown parity {parity!r}")
 
     reasons = []
 
@@ -502,7 +517,7 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
                 continue
             # confirm at deeper truncation
             deep = _Locator(M0 + 8, par, y1=min(y0, 0.35), y2=0.28)
-            window = np.linspace(r_loc - 1e-4, r_loc + 1e-4, 9)
+            window = np.linspace(r_loc - _WINDOW, r_loc + _WINDOW, 9)
             r_deep, _ = next(deep.roots(window, near=r_loc), (None, None))
             if r_deep is None:
                 reject(f"{cand} not confirmed at M0+8")

@@ -10,6 +10,7 @@ a radius element g with the parametrization theta -> h k(2 pi theta) g.i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -166,21 +167,15 @@ def hyperbolic_distance(z, w):
 
 @dataclass(frozen=True)
 class GeodesicOrbit:
-    """Closed-geodesic data of a hyperbolic element.
-
-    generator is the diagonalized form diag(a, 1/a) with a > 1, conjugator
-    carries the axis (columns are eigenvector directions), length = 2 ln a
-    and q = 1/ln a.
+    """Closed-geodesic data of a hyperbolic element conjugate to
+    diag(a, 1/a) with a > 1: conjugator carries the axis (columns are
+    eigenvector directions), length = 2 ln a and q = 1/ln a.
     """
 
-    generator: GroupElement
+    surface: ClassVar[str] = "modular"
     conjugator: GroupElement
     length: float
     q: float
-
-    @property
-    def a(self) -> float:
-        return float(self.generator.mat[0, 0] / np.sqrt(abs(self.generator.det)))
 
     def points(self, theta):
         """Arc-length parametrization t(theta) = conjugator . (i e^{L theta})."""
@@ -234,8 +229,8 @@ def geodesic_orbit_from_matrix(gamma: GroupElement) -> GeodesicOrbit:
     if not (recon.is_close(gamma, 1e-10)
             or recon.is_close(GroupElement(-gamma.mat), 1e-10)):
         raise NotHyperbolicError("diagonalization failed reconstruction check")
-    return GeodesicOrbit(generator=gen, conjugator=conj,
-                         length=2.0 * np.log(a), q=1.0 / np.log(a))
+    return GeodesicOrbit(conjugator=conj, length=2.0 * np.log(a),
+                         q=1.0 / np.log(a))
 
 
 @dataclass(frozen=True)
@@ -245,6 +240,7 @@ class CircleOrbit:
     geometric point twice (the rotation subgroup has period pi), which
     makes all odd Fourier modes of restrictions vanish identically."""
 
+    surface: ClassVar[str] = "modular"
     h: GroupElement
     g: GroupElement
     radius: float

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import quad
 from .eigen import _atomic_write
-from .hypgeom import GroupElement
+from .hypgeom import GroupElement, hyperbolic_distance, mobius_act
 from .specfun import DomainError, log_gamma
 
 __all__ = [
@@ -82,7 +82,7 @@ class SpectralParam:
 
 @dataclass(frozen=True)
 class ModelVector:
-    """A vector in the line or circle realization.
+    """A vector in the line realization.
 
     ``evaluator`` maps a float array to complex values.  ``support`` marks
     compact support; ``phase_bandwidth`` bounds the evaluator's own
@@ -91,7 +91,6 @@ class ModelVector:
     """
 
     param: SpectralParam
-    kind: str                       # "line" or "circle"
     evaluator: Callable
     even: bool = False
     support: Optional[tuple] = None
@@ -117,15 +116,13 @@ def k_fixed_vector(param: SpectralParam) -> ModelVector:
     def ev(x):
         return np.exp(0.5 * (lam - 1.0) * np.log1p(x * x))
 
-    return ModelVector(param=param, kind="line", evaluator=ev, even=True,
-                       k_fixed=True, phase_bandwidth=abs(lam))
+    return ModelVector(param=param, evaluator=ev, even=True, k_fixed=True,
+                       phase_bandwidth=abs(lam))
 
 
 def pi_action(param: SpectralParam, g: GroupElement, v: ModelVector) -> ModelVector:
     """Line-model action: (pi(g)v)(x) = |c'x+d'|^{lam-1} v((a'x+b')/(c'x+d'))
     with [a' b'; c' d'] = g^{-1} (|det| = 1 representatives)."""
-    if v.kind != "line":
-        raise ValueError("pi_action expects a line-model vector")
     if v.param != param:
         raise ValueError("pi_action: representation parameter mismatch")
     lam = param.lam
@@ -151,8 +148,8 @@ def pi_action(param: SpectralParam, g: GroupElement, v: ModelVector) -> ModelVec
                          (ag * v.support[1] + bg) / dg))
         if lo > 0:
             support = (lo, hi)
-    return ModelVector(param=param, kind="line", evaluator=ev,
-                       even=v.even and is_diag, support=support, k_fixed=False,
+    return ModelVector(param=param, evaluator=ev, even=v.even and is_diag,
+                       support=support, k_fixed=False,
                        phase_bandwidth=v.phase_bandwidth)
 
 
@@ -319,14 +316,13 @@ def circle_log_jacobian(g: GroupElement):
     return W
 
 
-def circle_edge_constant(g: GroupElement, grid=65536) -> float:
-    """Max of |d/dtheta log W| / 2: stationary points of the circle phase
-    (lam/2) log W(theta) - 2 pi n theta exist iff |2 pi n| <= c |lam|."""
-    W = circle_log_jacobian(g)
-    th = np.arange(grid) / grid
-    lw = np.log(W(th))
-    d = (np.roll(lw, -1) - np.roll(lw, 1)) * (grid / 2.0)
-    return 0.5 * float(np.max(np.abs(d)))
+def circle_edge_constant(g: GroupElement) -> float:
+    """c = max |d/dtheta log W| / 2 = 2 pi sinh r, r = d(i, g.i), exactly
+    (W = e^r cos^2 psi + e^{-r} sin^2 psi with psi = 2 pi theta - const):
+    the circle phase (lam/2) log W - 2 pi n theta is stationary somewhere
+    iff |2 pi n| <= c |lam|."""
+    r = hyperbolic_distance(1j, mobius_act(g, 1j))
+    return float(2.0 * np.pi * np.sinh(r))
 
 
 def density_c(param: SpectralParam, g: GroupElement, n_range) -> DensityTable:
@@ -334,8 +330,8 @@ def density_c(param: SpectralParam, g: GroupElement, n_range) -> DensityTable:
 
     W is pi-periodic in the geometric angle, so the full theta-loop (which
     covers the circle twice) has vanishing odd coefficients.  Regime tags
-    use the measured edge constant c: bulk below 0.9 c|lam|, tail above
-    1.1 c|lam| in the |2 pi n| coordinate.
+    use the exact edge constant c = 2 pi sinh r of ``circle_edge_constant``:
+    bulk below 0.9 c|lam|, tail above 1.1 c|lam| in the |2 pi n| coordinate.
     """
     if g.fixes_i(1e-12):
         raise DegenerateCircleError("radius element lies in the rotation "
@@ -405,8 +401,8 @@ def test_vector(T: float, param: SpectralParam) -> ModelVector:
 
     lo = 1.0 - 0.1 / T
     hi = 1.0 + 0.1 / T
-    return ModelVector(param=param, kind="line", evaluator=ev, even=True,
-                       support=(lo, hi), k_fixed=False, phase_bandwidth=0.0)
+    return ModelVector(param=param, evaluator=ev, even=True, support=(lo, hi),
+                       k_fixed=False, phase_bandwidth=0.0)
 
 
 def vector_norm_sq(v: ModelVector) -> float:

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -60,8 +60,8 @@ class StructuralInconsistencyError(Exception):
 class SphereEquator:
     """The colatitude pi/2 great circle, parametrized by longitude."""
 
-    surface: str = "sphere"
-    length: float = 2.0 * np.pi
+    surface: ClassVar[str] = "sphere"
+    length: ClassVar[float] = 2.0 * np.pi
 
     def points(self, theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -78,8 +78,8 @@ class TorusGeodesic:
 
     axis: int = 0
     offset: float = 0.0
-    surface: str = "torus"
-    length: float = 1.0
+    surface: ClassVar[str] = "torus"
+    length: ClassVar[float] = 1.0
 
     def points(self, theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -91,18 +91,10 @@ class TorusGeodesic:
         return f"torus-line(axis={self.axis}, offset={self.offset:g})"
 
 
-def _curve_surface(curve) -> str:
-    if isinstance(curve, (GeodesicOrbit, CircleOrbit)):
-        return "modular"
-    return curve.surface
-
-
 @dataclass(frozen=True)
 class RestrictionProfile:
     """Samples of phi along t(theta) on a uniform power-of-two grid."""
 
-    curve: object
-    phi: Optional[Eigenfunction]
     samples: np.ndarray
     length: float
     resample_change: float
@@ -129,9 +121,8 @@ class RestrictionProfile:
         n = len(samples)
         if n < 256 or (n & (n - 1)) != 0:
             raise ValueError("profile grid must be a power of two >= 256")
-        return cls(curve=None, phi=None, samples=samples, length=float(length),
-                   resample_change=0.0, mu=mu, spectral_r=spectral_r,
-                   curve_id=curve_id)
+        return cls(samples=samples, length=float(length), resample_change=0.0,
+                   mu=mu, spectral_r=spectral_r, curve_id=curve_id)
 
 
 def restrict(phi: Eigenfunction, curve, grid=1024) -> RestrictionProfile:
@@ -143,8 +134,8 @@ def restrict(phi: Eigenfunction, curve, grid=1024) -> RestrictionProfile:
     """
     if grid < 256 or (grid & (grid - 1)) != 0:
         raise ValueError("grid must be a power of two >= 256")
-    if _curve_surface(curve) != phi.surface:
-        raise ValueError(f"curve lives on {_curve_surface(curve)}, "
+    if curve.surface != phi.surface:
+        raise ValueError(f"curve lives on {curve.surface}, "
                          f"eigenfunction on {phi.surface}")
     if isinstance(curve, CircleOrbit) and curve.radius < _MIN_CIRCLE_RADIUS:
         raise ValueError("circle radius below the supported floor")
@@ -161,10 +152,8 @@ def restrict(phi: Eigenfunction, curve, grid=1024) -> RestrictionProfile:
     p2 = np.mean(np.abs(s2) ** 2)
     change = abs(p2 - p1) / max(abs(p2), 1e-300)
     return RestrictionProfile(
-        curve=curve, phi=phi, samples=s2, length=float(curve.length),
-        resample_change=float(change), mu=phi.mu,
-        spectral_r=phi.spectral_r,
-        curve_id=curve.curve_id() if hasattr(curve, "curve_id") else str(curve))
+        samples=s2, length=float(curve.length), resample_change=float(change),
+        mu=phi.mu, spectral_r=phi.spectral_r, curve_id=curve.curve_id())
 
 
 @dataclass
@@ -443,7 +432,7 @@ def period_table_to_csv(table: PeriodTable, path):
 
 
 def report_to_json(path, surface, tables, report: AverageBoundReport = None,
-                   fits=None, extra=None):
+                   extra=None):
     """Structured JSON summary of a sweep."""
     doc = {
         "surface": surface,
@@ -469,8 +458,6 @@ def report_to_json(path, surface, tables, report: AverageBoundReport = None,
         doc["empirical_constant"] = report.empirical_constant
         doc["max_growth_t"] = report.max_growth_t
         doc["max_growth_forms"] = report.max_growth_forms
-    if fits:
-        doc["fits"] = fits
     if extra:
         doc.update(extra)
     _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")

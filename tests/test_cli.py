@@ -76,7 +76,6 @@ def test_sphere_sweep_deterministic(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"recipe": "sphere-sharpness",
-                               "surface": "sphere",
                                "sphere_degrees": [10, 40],
                                "out_dir": "out"}))
     r1 = run_main(["--config", str(cfg), "sweep"], capsys)
@@ -133,7 +132,8 @@ def test_verify_subset_pass_and_forced_failure(tmp_path, monkeypatch, capsys):
 
     cfg.write_text(json.dumps({
         "checks": ["table-integral-identity"],
-        "tolerances": {"table-integral-identity.rel_tol": 1e-30}}))
+        "tolerances": {"table-integral-identity.rel_tol": 1e-30,
+                       "table-integral-identity.n_samples": 1}}))
     res = run_main(["--config", str(cfg), "verify"], capsys)
     assert res.returncode == 1, res.stdout + res.stderr
     assert "[FAIL] table-integral-identity" in res.stdout
@@ -232,6 +232,11 @@ def test_outputs_follow_umask(tmp_path, first_form, monkeypatch, capsys):
     ("sweep", {"t_grid": [8, 0, 32]}),
     ("sweep", {"recipe": "no-such-recipe"}),
     ("sweep", {"tolerances": {"extract_threshold": 2.0}}),
+    ("solve", {"brackets": [[1.0, 5.0]]}),
+    ("solve", {"brackets": [[41.0, 41.5]]}),
+    ("solve", {"M0": 0}),
+    ("solve", {"y0": 2.0}),
+    ("sweep", {"recipe": "sphere-sharpness", "surface": "torus"}),
 ])
 def test_bad_config_values_exit_2(command, config, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

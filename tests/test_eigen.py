@@ -485,3 +485,21 @@ def test_solver_input_validation():
         eigen.hejhal_solve((9.0, 9.5), y0=0.9)
     with pytest.raises(ValueError):
         eigen.hejhal_solve((9.0, 9.5), parity="mixed")
+    with pytest.raises(ValueError):
+        eigen.hejhal_solve((9.0, 9.5), M0=1)
+    with pytest.raises(ValueError):
+        eigen.hejhal_solve((39.5, 40.0))
+
+
+def test_solver_range_stays_within_the_kernel_range():
+    # for the highest bracket end check_solve allows, the scan grid of
+    # hejhal_solve plus the confirming window stays within bessel_k_imag's
+    # range, wherever the bracket starts
+    hi = eigen._R_MAX
+    for lo in np.linspace(hi - 2.0, hi - 0.001, 97):
+        rs = np.arange(lo, hi + eigen._SCAN_STEP / 2, eigen._SCAN_STEP)
+        assert rs[-1] + eigen._WINDOW <= eigen._BESSEL_R_MAX
+    eigen.check_solve([(39.0, eigen._R_MAX)], "auto", 14, 0.40)
+    with pytest.raises(ValueError):
+        eigen.check_solve([(39.0, np.nextafter(eigen._R_MAX, 41.0))],
+                          "auto", 14, 0.40)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from geoperiods.hypgeom import GroupElement, diagonal, rotation
+from geoperiods.hypgeom import (GroupElement, diagonal, orbit_from_spec,
+                                rotation)
 from geoperiods.modelrep import (BUMP_SQ_INTEGRAL, C1_NORM_SLOPE,
                                  DegenerateCircleError, SpectralParam, bump,
                                  check_regime_envelopes, circle_edge_constant,
@@ -14,7 +15,8 @@ from geoperiods import quad, verify
 from geoperiods.quad import integrate_adaptive
 from geoperiods.specfun import DomainError, log_gamma
 
-from oracles import analyze_phase, conical_legendre, index_symmetric
+from oracles import (analyze_phase, conical_legendre, fd_edge_constant,
+                     index_symmetric)
 
 RNG = np.random.default_rng(11)
 
@@ -113,7 +115,7 @@ def test_functional_kills_odd_part():
     par = SpectralParam(lam=5j)
     odd = lambda x: x * bump(x)
     v = make_test_vector(1.0, par)          # reuse the container, swap evaluator
-    odd_vec = type(v)(param=par, kind="line",
+    odd_vec = type(v)(param=par,
                       evaluator=lambda x: x * bump(np.asarray(x)) + 0.0j,
                       even=False, support=None, k_fixed=False)
     d = model_functional(par, 2j, odd_vec)
@@ -312,11 +314,22 @@ def test_density_c_ratio_constant_in_radius():
 
 
 def test_density_c_edge_constant_matches_sinh():
-    # for diag(e^{r/2}, e^{-r/2}) the measured edge is 2 pi sinh r
+    # for diag(e^{r/2}, e^{-r/2}) the edge is 2 pi sinh r
     for r in (0.7, 2 * np.log(2.0)):
         g = diagonal(np.exp(r / 2.0))
         assert circle_edge_constant(g) == pytest.approx(2 * np.pi * np.sinh(r),
                                                         rel=1e-6)
+
+
+@pytest.mark.parametrize("g", [
+    GroupElement([[1.3, 0.4], [0.2, 0.9]]),
+    orbit_from_spec(verify.ACCEPTANCE_CURVES[1]).g,
+], ids=["general", "acceptance-circle"])
+def test_circle_edge_constant_matches_finite_differences(g):
+    # the closed form against the measured max of |d/dtheta log W| / 2,
+    # also where g is neither diagonal nor symmetric
+    assert circle_edge_constant(g) == pytest.approx(fd_edge_constant(g),
+                                                    rel=1e-6)
 
 
 def test_density_c_tail_octave_drop():
