@@ -9,9 +9,7 @@ failure, 2 usage/config errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -19,12 +17,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import eigen, verify
-from .eigen import _atomic_write
+from .eigen import _json_text, _write_csv
 from .hypgeom import GroupElement, orbit_from_spec
 from .modelrep import (SpectralParam, density_b, density_c, density_to_csv)
-from .periods import (check_band, check_t_grid, coefficient_family,
-                      equator_degrees, equator_norms, period_table_to_csv,
-                      report_to_json)
+from .periods import (check_band, check_curve, check_t_grid,
+                      coefficient_family, equator_degrees, equator_norms,
+                      period_table_to_csv, report_to_json)
 
 
 RECIPES = ("maass-restriction", "sphere-sharpness", "density-regimes")
@@ -63,6 +61,12 @@ class RunConfig:
             raise ValueError("tolerances must be positive")
         if self.tolerances.get("extract_threshold", 0.0) >= 1.0:
             raise ValueError("extract_threshold must lie in (0, 1)")
+        stray = {k for k in self.tolerances if "." not in k}
+        stray.discard("extract_threshold")
+        if stray:
+            raise ValueError(f"unknown tolerances {sorted(stray)}: a key is "
+                             "extract_threshold or check-name.keyword")
+        verify.overrides(self.checks, self.tolerances)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         eigen.check_solve(self.brackets, self.parity, self.M0, self.y0)
@@ -71,13 +75,14 @@ class RunConfig:
         if self.recipe == "maass-restriction":
             check_band(self.n_range)
             if len(self.brackets) >= 2:     # the averaged bound needs a family
-                check_t_grid(self.t_grid)
+                check_t_grid(self.t_grid, self.n_range)
         if self.recipe == "sphere-sharpness":
             equator_degrees(self.sphere_degrees)
         if (self.recipe == "density-regimes"
                 and any(q <= 0 for q in self.q_values)):
             raise ValueError(f"q_values {self.q_values} must be positive")
-        self.orbits             # builds every curve, raising on a bad spec
+        for orbit in self.orbits:   # builds every curve, raising on a bad spec
+            check_curve(orbit)
         return self
 
     @functools.cached_property
@@ -86,7 +91,7 @@ class RunConfig:
         return [orbit_from_spec(spec) for spec in self.curves]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1, sort_keys=True) + "\n"
+        return _json_text(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -153,13 +158,9 @@ def _sweep_maass(cfg: RunConfig, cache, out):
 
 def _sweep_sphere(cfg: RunConfig, out):
     rows, (slope, const, resid) = equator_norms(cfg.sphere_degrees)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["degree", "mu", "restriction_norm", "fitted_slope"])
-    for n, mu, p in rows:
-        w.writerow([n, format(mu, ".17g"), format(p, ".17g"),
-                    format(slope, ".17g")])
-    _atomic_write(os.path.join(out, "sphere_sharpness.csv"), buf.getvalue())
+    _write_csv(os.path.join(out, "sphere_sharpness.csv"),
+               ["degree", "mu", "restriction_norm", "fitted_slope"],
+               ([n, mu, p, slope] for n, mu, p in rows))
     report_to_json(os.path.join(out, "summary.json"), "sphere", [],
                    extra={"fits": {"equator_exponent": slope, "constant": const,
                                    "max_log_misfit": resid}})
@@ -198,17 +199,12 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     cache = eigen.resolve_cache_dir(args.cache, cfg.cache_dir)
-    overrides = {}
-    for key, val in cfg.tolerances.items():
-        if "." in key:
-            check, kw = key.split(".", 1)
-            overrides.setdefault(check, {})[kw] = val
     failures = 0
     skipped = 0
     names = cfg.checks or None
     for res in verify.run_checks(names=names, cache_dir=cache,
                                  solve_missing=args.solve_missing,
-                                 overrides=overrides):
+                                 tolerances=cfg.tolerances):
         print(res.line())
         if res.skipped:
             skipped += 1

@@ -18,8 +18,10 @@ scans, sign changes, refinements and rejections at DEBUG.
 
 from __future__ import annotations
 
+import csv
 import functools
 import glob
+import io
 import json
 import logging
 import os
@@ -647,6 +649,26 @@ def _atomic_write(path, text):
         raise
 
 
+def _json_text(doc) -> str:
+    """The layout of every JSON file the package writes."""
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def _write_json(path, doc):
+    _atomic_write(path, _json_text(doc))
+
+
+def _write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` as CSV through ``_atomic_write``:
+    floats in round-trip ``.17g`` form, None as an empty cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([format(v, ".17g") if isinstance(v, float) else v
+                      for v in row] for row in rows)
+    _atomic_write(path, buf.getvalue())
+
+
 def save_form(form: MaassForm, path):
     record = {
         "format_version": _CACHE_FORMAT_VERSION,
@@ -662,7 +684,7 @@ def save_form(form: MaassForm, path):
         "height_agreement": form.height_agreement,
         "bracket": list(form.bracket),
     }
-    _atomic_write(path, json.dumps(record, indent=1, sort_keys=True) + "\n")
+    _write_json(path, record)
 
 
 def load_form(path) -> MaassForm:

@@ -203,8 +203,6 @@ def geodesic_orbit_from_matrix(gamma: GroupElement) -> GeodesicOrbit:
     m = gamma.mat
     t, det = gamma.trace, gamma.det
     disc = t * t - 4.0 * det
-    if disc <= 0:
-        raise NotHyperbolicError("complex eigenvalues: element is elliptic")
     big = 0.5 * (t + np.sign(t if t != 0 else 1.0) * np.sqrt(disc))
     small = det / big
     evals = np.array([big, small]) if abs(big) >= abs(small) \

@@ -16,15 +16,13 @@ whose norms grow linearly while the functional values stay bounded below.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import quad
-from .eigen import _atomic_write
+from .eigen import _write_csv
 from .hypgeom import GroupElement, hyperbolic_distance, mobius_act
 from .specfun import DomainError, log_gamma
 
@@ -296,9 +294,7 @@ def density_b(param: SpectralParam, q: float, n_range,
     return DensityTable(kind="geodesic-b", param=param, n_values=ns,
                         entries=entries, sigma=abs_sig, log_abs2=log_abs2,
                         regime=regime,
-                        meta={"q": q, "lattice_step": step,
-                              "sigma_frac": _SIGMA_FRAC,
-                              "step_over_q": step / q})
+                        meta={"lattice_step": step, "step_over_q": step / q})
 
 
 def circle_log_jacobian(g: GroupElement):
@@ -361,8 +357,8 @@ def density_c(param: SpectralParam, g: GroupElement, n_range) -> DensityTable:
     return DensityTable(kind="circle-c", param=param, n_values=ns,
                         entries=entries, sigma=sig, log_abs2=log_abs2,
                         regime=regime,
-                        meta={"c_edge": c_edge, "sigma_frac": _SIGMA_FRAC,
-                              "fourier_error": err, "evaluations": nev})
+                        meta={"c_edge": c_edge, "fourier_error": err,
+                              "evaluations": nev})
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +453,6 @@ def check_regime_envelopes(table: DensityTable, constants: dict,
 
 
 def density_to_csv(table: DensityTable, path):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["n", "Re", "Im", "abs2", "regime"])
-    for n, e, tag in zip(table.n_values, table.entries, table.regime):
-        w.writerow([int(n), format(e.real, ".17g"), format(e.imag, ".17g"),
-                    format(abs(e) ** 2, ".17g"), tag])
-    _atomic_write(path, buf.getvalue())
+    _write_csv(path, ["n", "Re", "Im", "abs2", "regime"],
+               ([int(n), e.real, e.imag, abs(e) ** 2, tag] for n, e, tag
+                in zip(table.n_values, table.entries, table.regime)))

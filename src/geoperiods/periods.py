@@ -12,15 +12,13 @@ convention can be reported.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
 import numpy as np
 
-from .eigen import Eigenfunction, _atomic_write, evaluate, sphere_harmonic
+from .eigen import (Eigenfunction, _write_csv, _write_json, evaluate,
+                    sphere_harmonic)
 from .hypgeom import CircleOrbit, GeodesicOrbit
 from .modelrep import DensityTable, SpectralParam, density_b, density_c
 
@@ -35,6 +33,7 @@ __all__ = [
     "coefficient_table",
     "coefficient_family",
     "check_band",
+    "check_curve",
     "check_t_grid",
     "equator_degrees",
     "equator_norms",
@@ -125,6 +124,17 @@ class RestrictionProfile:
                    mu=mu, spectral_r=spectral_r, curve_id=curve_id)
 
 
+def check_curve(curve):
+    """Raise ValueError for a circle or a geodesic below the size floor
+    ``restrict`` supports."""
+    if isinstance(curve, CircleOrbit) and curve.radius < _MIN_CIRCLE_RADIUS:
+        raise ValueError(f"circle radius {curve.radius:g} below the "
+                         f"supported floor {_MIN_CIRCLE_RADIUS:g}")
+    if isinstance(curve, GeodesicOrbit) and curve.length < _MIN_GEODESIC_LENGTH:
+        raise ValueError(f"geodesic length {curve.length:g} below the "
+                         f"supported floor {_MIN_GEODESIC_LENGTH:g}")
+
+
 def restrict(phi: Eigenfunction, curve, grid=1024) -> RestrictionProfile:
     """Sample phi along the curve's mass-one parametrization.
 
@@ -137,10 +147,7 @@ def restrict(phi: Eigenfunction, curve, grid=1024) -> RestrictionProfile:
     if curve.surface != phi.surface:
         raise ValueError(f"curve lives on {curve.surface}, "
                          f"eigenfunction on {phi.surface}")
-    if isinstance(curve, CircleOrbit) and curve.radius < _MIN_CIRCLE_RADIUS:
-        raise ValueError("circle radius below the supported floor")
-    if isinstance(curve, GeodesicOrbit) and curve.length < _MIN_GEODESIC_LENGTH:
-        raise ValueError("geodesic length below the supported floor")
+    check_curve(curve)
 
     def sample(n):
         theta = np.arange(n) / n
@@ -290,12 +297,18 @@ class AverageBoundReport:
     passed: bool
 
 
-def check_t_grid(t_grid):
-    """Raise ValueError unless ``check_average_bound`` can grade ``t_grid``."""
+def check_t_grid(t_grid, n_range):
+    """Raise ValueError unless ``check_average_bound`` can grade ``t_grid``
+    on coefficients over ``n_range``: the partial sums up to |n| <= T
+    need the whole of [-T, T] inside the band."""
     if len(t_grid) < 3:
         raise ValueError("need at least three T values")
     if any(t <= 0 for t in t_grid):
         raise ValueError(f"T values {list(t_grid)} must be positive")
+    reach = min(-int(n_range[0]), int(n_range[1]))
+    if max(t_grid) > reach:
+        raise ValueError(f"T = {max(t_grid):g} reaches past the coefficient "
+                         f"band |n| <= {reach} of n_range {list(n_range)}")
 
 
 def check_average_bound(tables, t_grid, growth_limit=3.0) -> AverageBoundReport:
@@ -308,9 +321,9 @@ def check_average_bound(tables, t_grid, growth_limit=3.0) -> AverageBoundReport:
     tables = list(tables)
     if len(tables) < 2:
         raise ValueError("need at least two period tables")
-    check_t_grid(t_grid)
     ratios = {}
     for tb in tables:
+        check_t_grid(t_grid, (tb.n_values[0], tb.n_values[-1]))
         label = f"{tb.curve_id}|mu={tb.mu:.4g}"
         row = {}
         for t in t_grid:
@@ -411,24 +424,14 @@ def fit_restriction_exponent(pairs):
 
 
 def period_table_to_csv(table: PeriodTable, path):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["n", "p_re", "p_im", "fourier_re", "fourier_im",
-                "a_re", "a_im", "abs_a2", "flag"])
-    for i, n in enumerate(table.n_values):
-        n = int(n)
+    rows = []
+    for n, p, f in zip(table.n_values.tolist(), table.p, table.fourier):
         an = table.a.get(n)
-        w.writerow([
-            n,
-            format(table.p[i].real, ".17g"), format(table.p[i].imag, ".17g"),
-            format(table.fourier[i].real, ".17g"),
-            format(table.fourier[i].imag, ".17g"),
-            "" if an is None else format(an.real, ".17g"),
-            "" if an is None else format(an.imag, ".17g"),
-            "" if an is None else format(abs(an) ** 2, ".17g"),
-            table.flags.get(n, ""),
-        ])
-    _atomic_write(path, buf.getvalue())
+        a = (None,) * 3 if an is None else (an.real, an.imag, abs(an) ** 2)
+        rows.append([n, p.real, p.imag, f.real, f.imag, *a,
+                     table.flags.get(n, "")])
+    _write_csv(path, ["n", "p_re", "p_im", "fourier_re", "fourier_im",
+                      "a_re", "a_im", "abs_a2", "flag"], rows)
 
 
 def report_to_json(path, surface, tables, report: AverageBoundReport = None,
@@ -460,4 +463,4 @@ def report_to_json(path, surface, tables, report: AverageBoundReport = None,
         doc["max_growth_forms"] = report.max_growth_forms
     if extra:
         doc.update(extra)
-    _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    _write_json(path, doc)

@@ -10,6 +10,7 @@ only copy: the CLI's ``RunConfig`` defaults are built from them.
 from __future__ import annotations
 
 import functools
+import inspect
 import time
 from dataclasses import dataclass, field
 
@@ -26,8 +27,8 @@ from .periods import (RestrictionProfile, SphereEquator, TorusGeodesic,
                       coefficient_family, equator_norms, extract_coefficients,
                       periods as fourier_periods, restrict)
 
-__all__ = ["CheckResult", "ALL_CHECKS", "run_checks", "acceptance_forms",
-           "ACCEPTANCE_CURVES"]
+__all__ = ["CheckResult", "ALL_CHECKS", "run_checks", "overrides",
+           "acceptance_forms", "ACCEPTANCE_CURVES"]
 
 # fixed curves for the averaged-bound run.  The geodesic must be long (so
 # the measurable coefficient band covers the whole T sweep) AND low-lying
@@ -441,13 +442,38 @@ def check_test_vector_constants(t_values=(10.0, 50.0, 100.0)):
 
 # ---------------------------------------------------------------------------
 
-def run_checks(names=None, cache_dir=None, solve_missing=True, overrides=None):
-    """Run the acceptance suite (or a named subset); yields CheckResults."""
-    overrides = overrides or {}
+def overrides(names, tolerances):
+    """The ``{check: {keyword: value}}`` that the ``"check-name.keyword"``
+    keys of ``tolerances`` set (undotted keys are the caller's).  ValueError
+    for a name in ``names`` or a key that names no check, or a keyword other
+    than ``budget`` that the check does not take."""
+    known = {name: fn for name, fn, _ in ALL_CHECKS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; known: {list(known)}")
+    out = {}
+    for key, val in tolerances.items():
+        name, dot, kw = key.partition(".")
+        if not dot:
+            continue
+        if name not in known:
+            raise ValueError(f"tolerance {key!r} names no check")
+        params = set(inspect.signature(known[name]).parameters) - {"forms"}
+        if kw not in params | {"budget"}:
+            raise ValueError(f"tolerance {key!r}: {name} takes no {kw!r}")
+        out.setdefault(name, {})[kw] = val
+    return out
+
+
+def run_checks(names=None, cache_dir=None, solve_missing=True, tolerances=None):
+    """Run the acceptance suite (or a named subset); yields CheckResults.
+    ``tolerances`` holds ``"check-name.keyword"`` overrides, see
+    ``overrides``."""
+    kwargs_of = overrides(names or (), tolerances or {})
     for name, fn, needs_cache in ALL_CHECKS:
         if names and name not in names:
             continue
-        kwargs = dict(overrides.get(name, {}))
+        kwargs = dict(kwargs_of.get(name, {}))
         if needs_cache:
             kwargs.setdefault("cache_dir", cache_dir)
             kwargs.setdefault("solve_missing", solve_missing)

@@ -237,6 +237,15 @@ def test_outputs_follow_umask(tmp_path, first_form, monkeypatch, capsys):
     ("solve", {"M0": 0}),
     ("solve", {"y0": 2.0}),
     ("sweep", {"recipe": "sphere-sharpness", "surface": "torus"}),
+    ("verify", {"checks": ["table-integral-identiy"]}),
+    ("verify", {"tolerances": {"table-integral-identiy.rel_tol": 1e-6}}),
+    ("verify", {"tolerances": {"table-integral-identity.rel_tl": 1e-6}}),
+    ("verify", {"tolerances": {"rel_tol": 1e-6}}),
+    ("sweep", {"curves": [{"kind": "circle", "center": [0.2, 1.1],
+                           "radius": 5e-4}]}),
+    ("sweep", {"curves": [{"kind": "geodesic",
+                           "matrix": [[1.001, 0.0], [0.0, 1.0]]}]}),
+    ("sweep", {"t_grid": [8, 16, 32, 64, 128, 256]}),
 ])
 def test_bad_config_values_exit_2(command, config, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

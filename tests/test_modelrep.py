@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -420,15 +422,18 @@ def test_test_vector_requires_t_geq_one():
 # ------------------------------------------------------------------- csv
 
 def test_density_csv_columns(tmp_path):
+    # integer n, every float cell parses back to the float64 it came from
     par = SpectralParam(lam=10j)
     table = density_b(par, 1.0, (-3, 3))
     path = tmp_path / "density.csv"
     density_to_csv(table, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "n,Re,Im,abs2,regime"
-    assert len(lines) == 8
-    first = lines[1].split(",")
-    assert first[0] == "-3" and first[4] in ("bulk", "transition", "tail")
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["n", "Re", "Im", "abs2", "regime"]
+    assert [row[0] for row in rows] == [str(n) for n in range(-3, 4)]
+    for row, e, tag in zip(rows, table.entries, table.regime):
+        assert [float(c) for c in row[1:4]] == [e.real, e.imag, abs(e) ** 2]
+        assert row[4] == tag in ("bulk", "transition", "tail")
 
 
 def test_density_entry_out_of_range():

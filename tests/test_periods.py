@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from geoperiods.periods import (RestrictionProfile, SphereEquator,
                                 StructuralInconsistencyError, TorusGeodesic,
                                 check_average_bound, coefficient_family,
                                 coefficient_table, extract_coefficients,
-                                fit_restriction_exponent, periods, restrict)
+                                fit_restriction_exponent, period_table_to_csv,
+                                periods, restrict)
 
 from conftest import CACHE_DIR
 
@@ -37,6 +40,13 @@ def test_restrict_grid_validation():
         restrict(torus_mode((1, 0)), TorusGeodesic(), grid=100)
     with pytest.raises(ValueError):
         restrict(torus_mode((1, 0)), SphereEquator())
+
+
+def test_restrict_size_floors(first_eigenfunction):
+    for curve in (circle_orbit(0.2 + 1.1j, 5e-4), geodesic_orbit_from_matrix(
+            GroupElement([[1.001, 0.0], [0.0, 1.0]]))):
+        with pytest.raises(ValueError, match="floor"):
+            restrict(first_eigenfunction, curve)
 
 
 def test_restrict_torus_two_ways():
@@ -145,6 +155,33 @@ def test_extract_roundtrip_circle():
         assert abs(table.a[n] - plant[n]) < 1e-8
     # odd entries are flagged, not extracted
     assert all(n % 2 == 0 for n in table.a)
+
+
+def test_period_table_csv_cells(tmp_path):
+    # every float cell parses back to the float64 it came from; skipped
+    # (odd, structurally zero) coefficients leave their cells empty
+    dens = density_c(SpectralParam(lam=40j),
+                     GroupElement([[2.0, 0.0], [0.0, 0.5]]), (-20, 20))
+    plant = {n: complex(RNG.normal(), RNG.normal()) for n in range(-20, 21, 2)}
+    table = extract_coefficients(
+        periods(synth_profile(dens, plant, length=1.7), (-20, 20)), dens)
+    path = tmp_path / "periods.csv"
+    period_table_to_csv(table, path)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["n", "p_re", "p_im", "fourier_re", "fourier_im",
+                      "a_re", "a_im", "abs_a2", "flag"]
+    assert [row[0] for row in rows] == [str(n) for n in range(-20, 21)]
+    for row, n, p, f in zip(rows, range(-20, 21), table.p, table.fourier):
+        assert [float(c) for c in row[1:5]] == [p.real, p.imag, f.real, f.imag]
+        an = table.a.get(n)
+        if an is None:
+            assert row[5:] == ["", "", "", table.flags[n]]
+        else:
+            assert [float(c) for c in row[5:8]] == [an.real, an.imag,
+                                                    abs(an) ** 2]
+            assert row[8] == ""
+    assert len(table.a) == 21 and len(table.flags) == 20
 
 
 def test_extract_threshold_flags():
@@ -289,6 +326,9 @@ def test_average_bound_input_validation():
         check_average_bound([unit_table(10.0), unit_table(20.0)], (8, 16))
     with pytest.raises(ValueError):
         check_average_bound([unit_table(10.0), unit_table(20.0)], (0, 8, 16))
+    with pytest.raises(ValueError, match="band"):
+        check_average_bound([unit_table(10.0), unit_table(20.0, n_max=16)],
+                            (8, 16, 32))
 
 
 # ------------------------------------------------------------ exponent fit
