@@ -11,15 +11,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from . import eigen, verify
+from . import eigen, quad, verify
 from .eigen import _json_text, _write_csv
 from .hypgeom import GroupElement, orbit_from_spec
-from .modelrep import (SpectralParam, density_b, density_c, density_to_csv)
+from .modelrep import (SpectralParam, density_b, density_c, density_c_grid,
+                       density_to_csv)
 from .periods import (check_band, check_curve, check_t_grid,
                       coefficient_family, equator_degrees, equator_norms,
                       period_table_to_csv, report_to_json)
@@ -57,8 +59,9 @@ class RunConfig:
     def validate(self):
         if self.recipe not in RECIPES:
             raise ValueError(f"unknown recipe {self.recipe!r}")
-        if any(t <= 0 for t in self.tolerances.values()):
-            raise ValueError("tolerances must be positive")
+        for key, val in self.tolerances.items():
+            _check_positive(f"tolerance {key!r}",
+                            val if isinstance(val, list) else [val])
         if self.tolerances.get("extract_threshold", 0.0) >= 1.0:
             raise ValueError("extract_threshold must lie in (0, 1)")
         stray = {k for k in self.tolerances if "." not in k}
@@ -67,8 +70,9 @@ class RunConfig:
             raise ValueError(f"unknown tolerances {sorted(stray)}: a key is "
                              "extract_threshold or check-name.keyword")
         verify.overrides(self.checks, self.tolerances)
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if not isinstance(self.jobs, int) or self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1 and an integer, not "
+                             f"{self.jobs!r}")
         eigen.check_solve(self.brackets, self.parity, self.M0, self.y0)
         if len(self.n_range) != 2 or self.n_range[0] > self.n_range[1]:
             raise ValueError(f"n_range {self.n_range} is not an ascending pair")
@@ -78,9 +82,16 @@ class RunConfig:
                 check_t_grid(self.t_grid, self.n_range)
         if self.recipe == "sphere-sharpness":
             equator_degrees(self.sphere_degrees)
-        if (self.recipe == "density-regimes"
-                and any(q <= 0 for q in self.q_values)):
-            raise ValueError(f"q_values {self.q_values} must be positive")
+        if self.recipe == "density-regimes":
+            _check_positive("q_values", self.q_values)
+            _check_positive("lambdas", self.lambdas)
+            g = GroupElement(verify.MODEL_CIRCLE_ELEMENT)
+            grid = density_c_grid(max(self.lambdas, default=0.0), g,
+                                  self.n_range)
+            if grid > quad.FOURIER_MAX_GRID:
+                raise ValueError(
+                    f"lambdas {self.lambdas} need a circle density grid of "
+                    f"{grid} points, above the cap of {quad.FOURIER_MAX_GRID}")
         for orbit in self.orbits:   # builds every curve, raising on a bad spec
             check_curve(orbit)
         return self
@@ -101,6 +112,14 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data).validate()
+
+
+def _check_positive(name, values):
+    """ValueError unless each of ``values`` is a finite positive number."""
+    for v in values:
+        if not isinstance(v, (int, float)) or not 0 < v < math.inf:
+            raise ValueError(f"{name} {values} must be finite positive "
+                             "numbers")
 
 
 def load_config(path) -> RunConfig:
@@ -142,10 +161,7 @@ def _sweep_maass(cfg: RunConfig, cache, out):
         name = f"periods_{tb.curve_id.split('(')[0]}_R{tb.spectral_r:.4f}.csv"
         period_table_to_csv(tb, os.path.join(out, name))
     report_to_json(os.path.join(out, "summary.json"), "modular", tables,
-                   report=next(iter(reports.values()), None),
-                   extra={"per_curve_growth": {
-                       cid: [r.max_growth_t, r.max_growth_forms]
-                       for cid, r in reports.items()}})
+                   reports=reports)
     ok = all(r.passed for r in reports.values())
     for cid, r in reports.items():
         print(f"{cid}: growth T-axis {r.max_growth_t:.2f}x, forms "
@@ -249,7 +265,8 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg, args)
         if args.command == "verify":
             return cmd_verify(cfg, args)
-    except (FileNotFoundError, eigen.CacheRecordError) as exc:
+    except (FileNotFoundError, eigen.CacheRecordError,
+            quad.ConvergenceError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except eigen.NoEigenvalueError as exc:

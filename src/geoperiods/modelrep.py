@@ -37,6 +37,7 @@ __all__ = [
     "DensityTable",
     "density_b",
     "density_c",
+    "density_c_grid",
     "circle_edge_constant",
     "circle_log_jacobian",
     "test_vector",
@@ -321,6 +322,14 @@ def circle_edge_constant(g: GroupElement) -> float:
     return float(2.0 * np.pi * np.sinh(r))
 
 
+def density_c_grid(abs_lam, g: GroupElement, n_range) -> int:
+    """The first grid of ``density_c``'s Fourier sums: it resolves both
+    the n-grid and the internal phase (lam/2) log W."""
+    n_max = max(abs(int(n_range[0])), abs(int(n_range[1])), 1)
+    return max(1024, 1 << int(np.ceil(np.log2(8.0 * (
+        n_max + circle_edge_constant(g) * abs_lam / (2.0 * np.pi) + 4)))))
+
+
 def density_c(param: SpectralParam, g: GroupElement, n_range) -> DensityTable:
     """Circle spectral density: Fourier coefficients of W^{(lam-1)/2}.
 
@@ -344,10 +353,8 @@ def density_c(param: SpectralParam, g: GroupElement, n_range) -> DensityTable:
         w = W(theta)
         return np.exp(0.5 * (lam - 1.0) * np.log(w))
 
-    # resolve both the n-grid and the internal phase (lam/2) log W
-    n_start = max(1024, 1 << int(np.ceil(np.log2(
-        8.0 * (n_max + c_edge * param.abs_lam / (2.0 * np.pi) + 4)))))
-    coeffs, err, nev = quad.periodic_fourier(f, n_max, n_start=n_start)
+    coeffs, err, nev = quad.periodic_fourier(
+        f, n_max, n_start=density_c_grid(param.abs_lam, g, n_range))
     ns = np.arange(n_lo, n_hi + 1)
     entries = coeffs[ns + n_max]
     sig = 2.0 * np.pi * np.abs(ns)

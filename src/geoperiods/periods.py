@@ -12,7 +12,7 @@ convention can be reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -39,6 +39,7 @@ __all__ = [
     "equator_norms",
     "StructuralInconsistencyError",
     "AverageBoundReport",
+    "AVERAGE_BOUND_LIMIT",
     "check_average_bound",
     "fit_restriction_exponent",
     "period_table_to_csv",
@@ -293,8 +294,10 @@ class AverageBoundReport:
     empirical_constant: float
     max_growth_t: float
     max_growth_forms: float
-    variation_t: float
     passed: bool
+
+
+AVERAGE_BOUND_LIMIT = 3.0   # largest max/min of the ratios that passes
 
 
 def check_t_grid(t_grid, n_range):
@@ -311,12 +314,13 @@ def check_t_grid(t_grid, n_range):
                          f"band |n| <= {reach} of n_range {list(n_range)}")
 
 
-def check_average_bound(tables, t_grid, growth_limit=3.0) -> AverageBoundReport:
+def check_average_bound(tables, t_grid, growth_limit=AVERAGE_BOUND_LIMIT):
     """Ratios sum_{|n|<=T} |a_n|^2 / max(T, sqrt(mu)) across a family.
 
-    Fails (passed=False) when the ratio grows by more than
-    ``growth_limit`` along the T-axis of any form or across forms at any
-    fixed T: growth of that size signals a normalization error upstream.
+    ``max_growth_t`` is the largest max/min of one form's positive ratios
+    along T, ``max_growth_forms`` the largest max/min across forms at one
+    T.  Fails (passed=False) when either exceeds ``growth_limit``: a
+    spread of that size signals a normalization error upstream.
     """
     tables = list(tables)
     if len(tables) < 2:
@@ -330,33 +334,23 @@ def check_average_bound(tables, t_grid, growth_limit=3.0) -> AverageBoundReport:
             row[float(t)] = tb.partial_sum(t) / max(float(t), np.sqrt(tb.mu))
         ratios[label] = row
 
-    def growth(seq):
-        seq = [s for s in seq if s > 0]
-        g = 1.0
-        for i in range(len(seq)):
-            for j in range(i + 1, len(seq)):
-                g = max(g, seq[j] / seq[i])
-        return g
-
     def spread(seq):
         seq = [s for s in seq if s > 0]
         return max(seq) / min(seq) if seq else 1.0
 
     rows = list(ratios.values())
-    g_t = max(growth(row.values()) for row in rows)
+    g_t = max(spread(row.values()) for row in rows)
     g_f = max(spread(row[t] for row in rows) for t in map(float, t_grid))
-    var_t = max(spread(row.values()) for row in rows)
     all_vals = [v for row in rows for v in row.values() if v > 0]
     return AverageBoundReport(
         t_grid=tuple(float(t) for t in t_grid), ratios=ratios,
         empirical_constant=max(all_vals) if all_vals else np.nan,
         max_growth_t=g_t, max_growth_forms=g_f,
-        variation_t=var_t,
-        passed=(g_t <= growth_limit and g_f <= growth_limit))
+        passed=bool(g_t <= growth_limit and g_f <= growth_limit))
 
 
 def coefficient_family(phis, curves, n_range, t_grid, threshold=1e-10,
-                       map=map, growth_limit=3.0):
+                       map=map, growth_limit=AVERAGE_BOUND_LIMIT):
     """``coefficient_table`` of every (curve, form) pair, run by ``map``
     (the builtin or an executor's), and the ``check_average_bound`` report
     of each curve with two or more tables.  Returns ``(tables, reports)``:
@@ -434,9 +428,9 @@ def period_table_to_csv(table: PeriodTable, path):
                       "a_re", "a_im", "abs_a2", "flag"], rows)
 
 
-def report_to_json(path, surface, tables, report: AverageBoundReport = None,
-                   extra=None):
-    """Structured JSON summary of a sweep."""
+def report_to_json(path, surface, tables, reports=None, extra=None):
+    """Structured JSON summary of a sweep; ``reports`` maps a curve id to
+    its ``AverageBoundReport``."""
     doc = {
         "surface": surface,
         "tables": [
@@ -454,13 +448,8 @@ def report_to_json(path, surface, tables, report: AverageBoundReport = None,
             for tb in tables
         ],
     }
-    if report is not None:
-        doc["t_grid"] = list(report.t_grid)
-        doc["ratios"] = {k: {str(t): v for t, v in row.items()}
-                         for k, row in report.ratios.items()}
-        doc["empirical_constant"] = report.empirical_constant
-        doc["max_growth_t"] = report.max_growth_t
-        doc["max_growth_forms"] = report.max_growth_forms
+    if reports is not None:
+        doc["reports"] = {cid: asdict(r) for cid, r in reports.items()}
     if extra:
         doc.update(extra)
     _write_json(path, doc)

@@ -25,6 +25,7 @@ __all__ = [
     "ConvergenceError",
     "integrate_adaptive",
     "periodic_fourier",
+    "FOURIER_MAX_GRID",
     "oscillatory_integral",
 ]
 
@@ -185,6 +186,7 @@ def _adaptive_core(f, a, b, rel_tol, budget):
 
 _FOURIER_REL_TOL = 1e-11
 _FOURIER_MAX_DOUBLINGS = 12
+FOURIER_MAX_GRID = 1 << 20      # 16 MiB per complex sample array
 
 
 def periodic_fourier(f, n_max, n_start=None):
@@ -195,12 +197,17 @@ def periodic_fourier(f, n_max, n_start=None):
 
     Returns (coefficients indexed n = -n_max..n_max, error_estimate, evals),
     the estimate being the last doubling's change.  Raises
-    ConvergenceError if the spectrum has not settled after 12 grids.
+    ConvergenceError if the spectrum has not settled after 12 grids, or
+    before a grid above ``FOURIER_MAX_GRID`` points would be sampled.
     """
     n = n_start or max(256, 1 << int(np.ceil(np.log2(8 * max(n_max, 1)))))
     prev = None
     neval = 0
     for _ in range(_FOURIER_MAX_DOUBLINGS):
+        if n > FOURIER_MAX_GRID:
+            raise ConvergenceError(
+                f"periodic_fourier: a grid of {n} points is above the cap "
+                f"of {FOURIER_MAX_GRID}", best=prev)
         theta = np.arange(n) / n
         vals = np.asarray(f(theta), dtype=complex)
         c = np.fft.fft(vals) / n

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import geoperiods
-from geoperiods import eigen, verify
+from geoperiods import eigen, quad, verify
 from geoperiods.cli import RunConfig, main
+from geoperiods.hypgeom import orbit_from_spec
 
 from conftest import CACHE_DIR
 
@@ -169,6 +170,19 @@ def test_maass_sweep_from_cache(tmp_path, monkeypatch, capsys):
     assert any(f.startswith("periods_circle") for f in files)
 
 
+def test_default_sweep_reports_every_curve(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--cache", os.path.abspath(CACHE_DIR), "--out", str(out),
+                 "sweep"]) == 0
+    reports = json.loads((out / "summary.json").read_text())["reports"]
+    geo, circ = map(orbit_from_spec, verify.ACCEPTANCE_CURVES)
+    assert sorted(reports) == sorted([geo.curve_id(), circ.curve_id()])
+    assert all(rep["passed"] is True for rep in reports.values())
+    res = verify.check_average_bound_maass(cache_dir=CACHE_DIR)
+    expected = json.loads(json.dumps(dataclasses.asdict(res.extras["circle"])))
+    assert reports[circ.curve_id()] == expected
+
+
 def test_non_default_m0_record_found_by_sweep_and_verify(tmp_path, first_form,
                                                         monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -246,6 +260,12 @@ def test_outputs_follow_umask(tmp_path, first_form, monkeypatch, capsys):
     ("sweep", {"curves": [{"kind": "geodesic",
                            "matrix": [[1.001, 0.0], [0.0, 1.0]]}]}),
     ("sweep", {"t_grid": [8, 16, 32, 64, 128, 256]}),
+    ("sweep", {"recipe": "density-regimes", "lambdas": ["x"]}),
+    ("sweep", {"recipe": "density-regimes", "lambdas": [0]}),
+    ("sweep", {"recipe": "density-regimes", "lambdas": [1e6]}),
+    ("sweep", {"jobs": 1.5}),
+    ("verify", {"tolerances": {
+        "test-vector-constants.t_values": [10.0, -1.0]}}),
 ])
 def test_bad_config_values_exit_2(command, config, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -273,6 +293,32 @@ def test_maass_sweep_bytes_independent_of_jobs(tmp_path, capsys):
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert len(outputs[0]) == 5          # four period tables and the summary
     assert outputs[0] == outputs[1]
+
+
+def test_list_override_reaches_the_check(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "checks": ["test-vector-constants"],
+        "tolerances": {"test-vector-constants.t_values": [10.0]}}))
+    assert main(["--config", str(cfg), "verify"]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("[PASS] test-vector-constants")
+    assert line.endswith("box minima T=10: 3.9985")
+
+
+def test_unsettled_fourier_sum_exits_1_with_one_line(tmp_path, monkeypatch,
+                                                     capsys):
+    # the first grid, 1024 points, is within the lowered cap; the doubling
+    # that would settle the spectrum is not
+    monkeypatch.setattr(quad, "FOURIER_MAX_GRID", 1024)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"recipe": "density-regimes", "lambdas": [20.0],
+                               "q_values": [1.0], "n_range": [-10, 10]}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "sweep"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["periodic_fourier: a grid of 2048 points is above the cap "
+                   "of 1024"]
 
 
 def test_budget_override_fails_over_budget(tmp_path, capsys):

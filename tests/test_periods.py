@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -315,8 +317,23 @@ def test_average_bound_without_coefficients():
     for tb in tables:
         tb.a = {}
     rep = check_average_bound(tables, (8, 16, 32))
-    assert rep.variation_t == rep.max_growth_t == rep.max_growth_forms == 1.0
+    assert rep.max_growth_t == rep.max_growth_forms == 1.0
     assert rep.passed
+
+
+def test_average_bound_fails_a_falling_family():
+    # mu = 1, so the ratios are S(T)/T: 1.0, 0.2 and 0.25 at T = 1, 5, 8.
+    # No ratio grows past 1.25x of an earlier one, but they spread 5x.
+    tables = [unit_table(1.0), unit_table(1.0, curve_id="twin")]
+    for tb in tables:
+        tb.a = {0: 1.0 + 0j, 6: 1.0 + 0j}
+    rep = check_average_bound(tables, (1, 5, 8))
+    assert list(rep.ratios.values())[0] == pytest.approx(
+        {1.0: 1.0, 5.0: 0.2, 8.0: 0.25})
+    assert rep.max_growth_t == pytest.approx(5.0)
+    assert rep.max_growth_forms == 1.0
+    assert rep.passed is False
+    assert json.loads(json.dumps(dataclasses.asdict(rep)))["passed"] is False
 
 
 def test_average_bound_input_validation():

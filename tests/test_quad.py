@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geoperiods import quad
 from geoperiods.quad import (ConvergenceError, integrate_adaptive,
                              oscillatory_integral, periodic_fourier)
 from geoperiods.specfun import table_integral
@@ -103,6 +104,23 @@ def test_periodic_nonconvergence():
 
     with pytest.raises(ConvergenceError):
         periodic_mean(noisy)
+
+
+def test_periodic_fourier_refuses_grids_above_the_cap(monkeypatch):
+    sampled = []
+
+    def noisy(th):
+        sampled.append(len(th))
+        return RNG.normal(size=th.shape)
+
+    with pytest.raises(ConvergenceError, match="above the cap"):
+        periodic_fourier(noisy, 4, n_start=2 * quad.FOURIER_MAX_GRID)
+    assert sampled == []
+    monkeypatch.setattr(quad, "FOURIER_MAX_GRID", 1024)
+    with pytest.raises(ConvergenceError, match="2048 points") as exc:
+        periodic_fourier(noisy, 4)
+    assert sampled == [256, 512, 1024]
+    assert len(exc.value.best) == 9
 
 
 def test_periodic_fourier_matches_direct():
