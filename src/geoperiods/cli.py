@@ -2,8 +2,8 @@
 
 Subcommands: solve, sweep, verify.  Configuration is a JSON file with the
 RunConfig fields; outputs are plot-ready long-format CSVs and a JSON
-summary, written atomically.  Exit status: 0 success, 1 verification
-failure, 2 usage/config errors.
+summary, written atomically once a sweep has computed them all.  Exit
+status: 0 success, 1 verification failure, 2 usage/config errors.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from . import eigen, quad, verify
 from .eigen import _json_text, _write_csv
@@ -25,9 +25,6 @@ from .modelrep import (SpectralParam, density_b, density_c, density_c_grid,
 from .periods import (check_band, check_curve, check_t_grid,
                       coefficient_family, equator_degrees, equator_norms,
                       period_table_to_csv, report_to_json)
-
-
-RECIPES = ("maass-restriction", "sphere-sharpness", "density-regimes")
 
 
 def _default(value):
@@ -57,22 +54,21 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self):
+        for f in fields(self):      # each field has its default's JSON type
+            default = f.default_factory() if f.default is MISSING else f.default
+            value, kind = getattr(self, f.name), type(default)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise ValueError(f"{f.name} must have its default's type "
+                                 f"{kind.__name__}, not {value!r}")
         if self.recipe not in RECIPES:
             raise ValueError(f"unknown recipe {self.recipe!r}")
         for key, val in self.tolerances.items():
             _check_positive(f"tolerance {key!r}",
                             val if isinstance(val, list) else [val])
-        if self.tolerances.get("extract_threshold", 0.0) >= 1.0:
-            raise ValueError("extract_threshold must lie in (0, 1)")
-        stray = {k for k in self.tolerances if "." not in k}
-        stray.discard("extract_threshold")
-        if stray:
-            raise ValueError(f"unknown tolerances {sorted(stray)}: a key is "
-                             "extract_threshold or check-name.keyword")
         verify.overrides(self.checks, self.tolerances)
-        if not isinstance(self.jobs, int) or self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1 and an integer, not "
-                             f"{self.jobs!r}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, not {self.jobs}")
         eigen.check_solve(self.brackets, self.parity, self.M0, self.y0)
         if len(self.n_range) != 2 or self.n_range[0] > self.n_range[1]:
             raise ValueError(f"n_range {self.n_range} is not an ascending pair")
@@ -88,10 +84,11 @@ class RunConfig:
             g = GroupElement(verify.MODEL_CIRCLE_ELEMENT)
             grid = density_c_grid(max(self.lambdas, default=0.0), g,
                                   self.n_range)
-            if grid > quad.FOURIER_MAX_GRID:
+            if 2 * grid > quad.FOURIER_MAX_GRID:   # one doubling must fit
                 raise ValueError(
-                    f"lambdas {self.lambdas} need a circle density grid of "
-                    f"{grid} points, above the cap of {quad.FOURIER_MAX_GRID}")
+                    f"lambdas {self.lambdas} start the circle density on a "
+                    f"grid of {grid} points, whose doubling is above the cap "
+                    f"of {quad.FOURIER_MAX_GRID}")
         for orbit in self.orbits:   # builds every curve, raising on a bad spec
             check_curve(orbit)
         return self
@@ -132,7 +129,6 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     if not cfg.brackets:
         print("solve: no brackets configured; nothing to do", file=sys.stderr)
         return 0
-    os.makedirs(cache, exist_ok=True)
     for bracket in cfg.brackets:
         form = eigen.hejhal_solve(tuple(bracket), parity=cfg.parity,
                                   M0=cfg.M0, y0=cfg.y0)
@@ -144,6 +140,10 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     return 0
 
 
+# A recipe computes a sweep and does no I/O.  It returns ``(files, lines,
+# status)``: a one-argument writer, called with the path, for each output
+# file name; the stdout lines; the exit status.  ``cmd_sweep`` writes them.
+
 def _sweep_maass(cfg: RunConfig, cache, out):
     forms = verify.acceptance_forms(cache, solve_missing=False,
                                     brackets=cfg.brackets)
@@ -154,63 +154,68 @@ def _sweep_maass(cfg: RunConfig, cache, out):
     phis = [eigen.as_eigenfunction(f) for f in forms]
     with ThreadPoolExecutor(cfg.jobs) as pool:
         tables, reports = coefficient_family(
-            phis, cfg.orbits, tuple(cfg.n_range), cfg.t_grid,
-            threshold=cfg.tolerances.get("extract_threshold", 1e-10),
-            map=pool.map)
-    for tb in tables:
-        name = f"periods_{tb.curve_id.split('(')[0]}_R{tb.spectral_r:.4f}.csv"
-        period_table_to_csv(tb, os.path.join(out, name))
-    report_to_json(os.path.join(out, "summary.json"), "modular", tables,
-                   reports=reports)
-    ok = all(r.passed for r in reports.values())
-    for cid, r in reports.items():
-        print(f"{cid}: growth T-axis {r.max_growth_t:.2f}x, forms "
-              f"{r.max_growth_forms:.2f}x -> {'ok' if r.passed else 'FAIL'}")
+            phis, cfg.orbits, tuple(cfg.n_range), cfg.t_grid, map=pool.map)
+    # positional table: the benchmark's tracer reads the path as argument 2
+    files = {f"periods_{tb.curve_id.split('(')[0]}_R{tb.spectral_r:.4f}.csv":
+             functools.partial(period_table_to_csv, tb) for tb in tables}
+    files["summary.json"] = functools.partial(
+        report_to_json, surface="modular", tables=tables, reports=reports)
+    lines = [f"{cid}: growth T-axis {r.max_growth_t:.2f}x, forms "
+             f"{r.max_growth_forms:.2f}x -> {'ok' if r.passed else 'FAIL'}"
+             for cid, r in reports.items()]
     if not reports:
-        print(f"period tables for {len(tables)} (form, curve) pairs written "
-              f"to {out} (single form: averaged-bound family check skipped)")
-    return 0 if ok else 1
+        lines.append(f"period tables for {len(tables)} (form, curve) pairs "
+                     f"written to {out} (single form: averaged-bound family "
+                     "check skipped)")
+    return files, lines, 0 if all(r.passed for r in reports.values()) else 1
 
 
-def _sweep_sphere(cfg: RunConfig, out):
+def _sweep_sphere(cfg: RunConfig, cache, out):
     rows, (slope, const, resid) = equator_norms(cfg.sphere_degrees)
-    _write_csv(os.path.join(out, "sphere_sharpness.csv"),
-               ["degree", "mu", "restriction_norm", "fitted_slope"],
-               ([n, mu, p, slope] for n, mu, p in rows))
-    report_to_json(os.path.join(out, "summary.json"), "sphere", [],
-                   extra={"fits": {"equator_exponent": slope, "constant": const,
-                                   "max_log_misfit": resid}})
-    print(f"sphere equator exponent: {slope:.4f} (constant {const:.4g})")
-    return 0
+    files = {
+        "sphere_sharpness.csv": functools.partial(
+            _write_csv, header=["degree", "mu", "restriction_norm",
+                                "fitted_slope"],
+            rows=[[n, mu, p, slope] for n, mu, p in rows]),
+        "summary.json": functools.partial(
+            report_to_json, surface="sphere", tables=[],
+            extra={"fits": {"equator_exponent": slope, "constant": const,
+                            "max_log_misfit": resid}})}
+    return files, [f"sphere equator exponent: {slope:.4f} "
+                   f"(constant {const:.4g})"], 0
 
 
-def _sweep_densities(cfg: RunConfig, out):
+def _sweep_densities(cfg: RunConfig, cache, out):
     g = GroupElement(verify.MODEL_CIRCLE_ELEMENT)
+    n_range = tuple(cfg.n_range)
+    files = {}
     for lam_abs in cfg.lambdas:
         par = SpectralParam(lam=1j * float(lam_abs))
         for q in cfg.q_values:
-            tb = density_b(par, float(q),
-                           (cfg.n_range[0], cfg.n_range[1]))
-            density_to_csv(tb, os.path.join(
-                out, f"density_b_lam{lam_abs:g}_q{q:g}.csv"))
-        tb = density_c(par, g, (cfg.n_range[0], cfg.n_range[1]))
-        density_to_csv(tb, os.path.join(out, f"density_c_lam{lam_abs:g}.csv"))
-    report_to_json(os.path.join(out, "summary.json"), "model", [],
-                   extra={"lambdas": list(cfg.lambdas),
-                          "q_values": list(cfg.q_values)})
-    print(f"density tables written to {out}")
-    return 0
+            files[f"density_b_lam{lam_abs:g}_q{q:g}.csv"] = functools.partial(
+                density_to_csv, density_b(par, float(q), n_range))
+        files[f"density_c_lam{lam_abs:g}.csv"] = functools.partial(
+            density_to_csv, density_c(par, g, n_range))
+    files["summary.json"] = functools.partial(
+        report_to_json, surface="model", tables=[],
+        extra={"lambdas": list(cfg.lambdas), "q_values": list(cfg.q_values)})
+    return files, [f"density tables written to {out}"], 0
+
+
+RECIPES = {"maass-restriction": _sweep_maass,
+           "sphere-sharpness": _sweep_sphere,
+           "density-regimes": _sweep_densities}
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     out = args.out or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
     cache = eigen.resolve_cache_dir(args.cache, cfg.cache_dir)
-    if cfg.recipe == "sphere-sharpness":
-        return _sweep_sphere(cfg, out)
-    if cfg.recipe == "density-regimes":
-        return _sweep_densities(cfg, out)
-    return _sweep_maass(cfg, cache, out)
+    files, lines, status = RECIPES[cfg.recipe](cfg, cache, out)
+    for name, write in files.items():
+        write(os.path.join(out, name))
+    for line in lines:
+        print(line)
+    return status
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:

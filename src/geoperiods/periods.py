@@ -50,6 +50,7 @@ _MIN_CIRCLE_RADIUS = 1e-3
 _MIN_GEODESIC_LENGTH = 1e-2
 _ODD_CONSISTENCY_TOL = 1e-8     # odd circle periods, relative to max|fourier|
 TABLE_GRID = 2048               # restriction grid of ``coefficient_table``
+EXTRACT_THRESHOLD = 1e-10       # and its extraction threshold
 
 
 class StructuralInconsistencyError(Exception):
@@ -266,15 +267,14 @@ def extract_coefficients(table: PeriodTable, density: DensityTable,
     return table
 
 
-def coefficient_table(phi: Eigenfunction, curve, n_range,
-                      threshold=1e-10) -> PeriodTable:
+def coefficient_table(phi: Eigenfunction, curve, n_range) -> PeriodTable:
     """Periods of a modular eigenfunction along a closed geodesic or a
     circle, with coefficients extracted against the curve's model density.
 
     The one chain from (form, curve) to a coefficient table: ``restrict``
     at ``TABLE_GRID``, ``periods`` over ``n_range``, then ``density_b`` at
     q = 1/ln a for a GeodesicOrbit or ``density_c`` of the radius element
-    for a CircleOrbit, and ``extract_coefficients``.
+    for a CircleOrbit, and ``extract_coefficients`` at ``EXTRACT_THRESHOLD``.
     """
     if not isinstance(curve, (GeodesicOrbit, CircleOrbit)):
         raise ValueError(f"no model density for curve {curve.curve_id()}")
@@ -284,7 +284,7 @@ def coefficient_table(phi: Eigenfunction, curve, n_range,
         density = density_b(par, curve.q, n_range)
     else:
         density = density_c(par, curve.g, n_range)
-    return extract_coefficients(table, density, threshold=threshold)
+    return extract_coefficients(table, density, threshold=EXTRACT_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -349,15 +349,14 @@ def check_average_bound(tables, t_grid, growth_limit=AVERAGE_BOUND_LIMIT):
         passed=bool(g_t <= growth_limit and g_f <= growth_limit))
 
 
-def coefficient_family(phis, curves, n_range, t_grid, threshold=1e-10,
-                       map=map, growth_limit=AVERAGE_BOUND_LIMIT):
+def coefficient_family(phis, curves, n_range, t_grid, map=map,
+                       growth_limit=AVERAGE_BOUND_LIMIT):
     """``coefficient_table`` of every (curve, form) pair, run by ``map``
     (the builtin or an executor's), and the ``check_average_bound`` report
     of each curve with two or more tables.  Returns ``(tables, reports)``:
     tables curve by curve, forms in order; reports keyed by curve id."""
     pairs = [(phi, curve) for curve in curves for phi in phis]
-    tables = list(map(lambda pair: coefficient_table(
-        *pair, n_range, threshold=threshold), pairs))
+    tables = list(map(lambda pair: coefficient_table(*pair, n_range), pairs))
     by_curve = {}
     for tb in tables:
         by_curve.setdefault(tb.curve_id, []).append(tb)

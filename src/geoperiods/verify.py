@@ -442,9 +442,9 @@ def check_test_vector_constants(t_values=(10.0, 50.0, 100.0)):
 
 def overrides(names, tolerances):
     """The ``{check: {keyword: value}}`` that the ``"check-name.keyword"``
-    keys of ``tolerances`` set (undotted keys are the caller's).  ValueError
-    for a name in ``names`` or a key that names no check, or a keyword other
-    than ``budget`` that the check does not take."""
+    keys of ``tolerances`` set.  ValueError for a name in ``names`` or a key
+    that names no check, or a keyword other than ``budget`` that the check
+    does not take."""
     known = {name: fn for name, fn, _ in ALL_CHECKS}
     unknown = [name for name in names if name not in known]
     if unknown:
@@ -452,9 +452,7 @@ def overrides(names, tolerances):
     out = {}
     for key, val in tolerances.items():
         name, dot, kw = key.partition(".")
-        if not dot:
-            continue
-        if name not in known:
+        if not dot or name not in known:
             raise ValueError(f"tolerance {key!r} names no check")
         params = set(inspect.signature(known[name]).parameters) - {"forms"}
         if kw not in params | {"budget"}:

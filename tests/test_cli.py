@@ -10,7 +10,7 @@ import pytest
 
 import geoperiods
 from geoperiods import eigen, quad, verify
-from geoperiods.cli import RunConfig, main
+from geoperiods.cli import RECIPES, RunConfig, main
 from geoperiods.hypgeom import orbit_from_spec
 
 from conftest import CACHE_DIR
@@ -42,7 +42,8 @@ def run_main(args, capsys):
 
 def test_config_roundtrip_identity():
     cfg = RunConfig(recipe="sphere-sharpness", sphere_degrees=[10, 40],
-                    tolerances={"extract_threshold": 1e-9}, jobs=2)
+                    tolerances={"table-integral-identity.rel_tol": 1e-9},
+                    jobs=2)
     text = cfg.to_json()
     again = RunConfig.from_json(text)
     assert again.to_json() == text
@@ -57,6 +58,17 @@ def test_config_rejects_bad_values():
         RunConfig.from_json(json.dumps({"brackets": [[10.0, 9.0]]}))
     with pytest.raises(ValueError):
         RunConfig.from_json(json.dumps({"no_such_field": 1}))
+
+
+def test_density_lambda_whose_doubled_grid_fits_is_accepted():
+    # |lam| = 34,906 starts the circle density on 2^19 points, so the one
+    # doubling that settles its spectrum stays within the 2^20 cap; 34,907
+    # would start on 2^20 (refused in test_bad_config_values_exit_2)
+    RunConfig.from_json(json.dumps({"recipe": "density-regimes",
+                                    "lambdas": [34906]}))
+    with pytest.raises(ValueError, match="doubling is above the cap"):
+        RunConfig.from_json(json.dumps({"recipe": "density-regimes",
+                                        "lambdas": [34907]}))
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -111,6 +123,7 @@ def test_missing_cache_instructive_error(tmp_path, monkeypatch, capsys):
     res = run_main(["--config", str(cfg), "sweep"], capsys)
     assert res.returncode == 1, res.stderr
     assert "solve" in res.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_no_brackets_warns_exit_zero(tmp_path, monkeypatch, capsys):
@@ -266,6 +279,11 @@ def test_outputs_follow_umask(tmp_path, first_form, monkeypatch, capsys):
     ("sweep", {"jobs": 1.5}),
     ("verify", {"tolerances": {
         "test-vector-constants.t_values": [10.0, -1.0]}}),
+    ("sweep", {"recipe": "density-regimes", "lambdas": [69000]}),
+    ("sweep", {"jobs": True}),
+    ("sweep", {"tolerances": [1]}),
+    ("sweep", {"out_dir": 5}),
+    ("sweep", {"cache_dir": 5}),
 ])
 def test_bad_config_values_exit_2(command, config, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -308,17 +326,36 @@ def test_list_override_reaches_the_check(tmp_path, capsys):
 
 def test_unsettled_fourier_sum_exits_1_with_one_line(tmp_path, monkeypatch,
                                                      capsys):
-    # the first grid, 1024 points, is within the lowered cap; the doubling
-    # that would settle the spectrum is not
-    monkeypatch.setattr(quad, "FOURIER_MAX_GRID", 1024)
+    # one grid and no doubling: the circle density cannot settle.  The
+    # density_b tables are computed before density_c raises, and none of
+    # them is written
+    monkeypatch.setattr(quad, "_FOURIER_MAX_DOUBLINGS", 1)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"recipe": "density-regimes", "lambdas": [20.0],
                                "q_values": [1.0], "n_range": [-10, 10]}))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
                  "sweep"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["periodic_fourier: a grid of 2048 points is above the cap "
-                   "of 1024"]
+    assert err == ["periodic_fourier: spectrum did not settle"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPES))
+def test_recipe_does_no_io_and_names_the_files_the_cli_writes(
+        recipe, tmp_path, monkeypatch, capsys):
+    cfg = RunConfig(recipe=recipe, brackets=[[9.0, 10.0]], n_range=[-30, 30],
+                    sphere_degrees=[10, 40], lambdas=[20.0], q_values=[1.0],
+                    cache_dir=os.path.abspath(CACHE_DIR)).validate()
+    (tmp_path / "cfg.json").write_text(cfg.to_json())
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    files, lines, status = RECIPES[recipe](cfg, cfg.cache_dir, "out")
+    assert os.listdir(work) == []
+    res = run_main(["--config", str(tmp_path / "cfg.json"), "sweep"], capsys)
+    assert res.returncode == status == 0, res.stderr
+    assert sorted(os.listdir(work / "out")) == sorted(files)
+    assert res.stdout.splitlines() == lines
 
 
 def test_budget_override_fails_over_budget(tmp_path, capsys):
