@@ -124,16 +124,14 @@ def load_config(path) -> RunConfig:
         return RunConfig.from_json(fh.read())
 
 
-def cmd_solve(cfg: RunConfig, args) -> int:
-    cache = eigen.resolve_cache_dir(args.cache, cfg.cache_dir)
+def cmd_solve(cfg: RunConfig) -> int:
     if not cfg.brackets:
         print("solve: no brackets configured; nothing to do", file=sys.stderr)
         return 0
     for bracket in cfg.brackets:
         form = eigen.hejhal_solve(tuple(bracket), parity=cfg.parity,
                                   M0=cfg.M0, y0=cfg.y0)
-        path = eigen.cache_path(cache, bracket, form.parity, form.M0)
-        eigen.save_form(form, path)
+        path = eigen.save_form(form, cfg.cache_dir)
         print(f"solved [{bracket[0]:g}, {bracket[1]:g}]: R={form.R:.9f} "
               f"({form.parity}), residual {form.residual:.2e}, "
               f"R-stability {form.r_stability:.2e} -> {path}")
@@ -144,13 +142,14 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 # status)``: a one-argument writer, called with the path, for each output
 # file name; the stdout lines; the exit status.  ``cmd_sweep`` writes them.
 
-def _sweep_maass(cfg: RunConfig, cache, out):
-    forms = verify.acceptance_forms(cache, solve_missing=False,
+def _sweep_maass(cfg: RunConfig):
+    forms = verify.acceptance_forms(cfg.cache_dir, solve_missing=False,
                                     brackets=cfg.brackets)
     if forms is None:
         raise FileNotFoundError(
             f"no cached form for some bracket of {cfg.brackets}; run "
-            f"`geoperiods solve --config ...` first (cache dir: {cache})")
+            f"`geoperiods solve --config ...` first "
+            f"(cache dir: {cfg.cache_dir})")
     phis = [eigen.as_eigenfunction(f) for f in forms]
     with ThreadPoolExecutor(cfg.jobs) as pool:
         tables, reports = coefficient_family(
@@ -165,12 +164,12 @@ def _sweep_maass(cfg: RunConfig, cache, out):
              for cid, r in reports.items()]
     if not reports:
         lines.append(f"period tables for {len(tables)} (form, curve) pairs "
-                     f"written to {out} (single form: averaged-bound family "
-                     "check skipped)")
+                     f"written to {cfg.out_dir} (single form: averaged-bound "
+                     "family check skipped)")
     return files, lines, 0 if all(r.passed for r in reports.values()) else 1
 
 
-def _sweep_sphere(cfg: RunConfig, cache, out):
+def _sweep_sphere(cfg: RunConfig):
     rows, (slope, const, resid) = equator_norms(cfg.sphere_degrees)
     files = {
         "sphere_sharpness.csv": functools.partial(
@@ -185,7 +184,7 @@ def _sweep_sphere(cfg: RunConfig, cache, out):
                    f"(constant {const:.4g})"], 0
 
 
-def _sweep_densities(cfg: RunConfig, cache, out):
+def _sweep_densities(cfg: RunConfig):
     g = GroupElement(verify.MODEL_CIRCLE_ELEMENT)
     n_range = tuple(cfg.n_range)
     files = {}
@@ -199,7 +198,7 @@ def _sweep_densities(cfg: RunConfig, cache, out):
     files["summary.json"] = functools.partial(
         report_to_json, surface="model", tables=[],
         extra={"lambdas": list(cfg.lambdas), "q_values": list(cfg.q_values)})
-    return files, [f"density tables written to {out}"], 0
+    return files, [f"density tables written to {cfg.out_dir}"], 0
 
 
 RECIPES = {"maass-restriction": _sweep_maass,
@@ -207,24 +206,21 @@ RECIPES = {"maass-restriction": _sweep_maass,
            "density-regimes": _sweep_densities}
 
 
-def cmd_sweep(cfg: RunConfig, args) -> int:
-    out = args.out or cfg.out_dir
-    cache = eigen.resolve_cache_dir(args.cache, cfg.cache_dir)
-    files, lines, status = RECIPES[cfg.recipe](cfg, cache, out)
+def cmd_sweep(cfg: RunConfig) -> int:
+    files, lines, status = RECIPES[cfg.recipe](cfg)
     for name, write in files.items():
-        write(os.path.join(out, name))
+        write(os.path.join(cfg.out_dir, name))
     for line in lines:
         print(line)
     return status
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
-    cache = eigen.resolve_cache_dir(args.cache, cfg.cache_dir)
+def cmd_verify(cfg: RunConfig, solve_missing) -> int:
     failures = 0
     skipped = 0
     names = cfg.checks or None
-    for res in verify.run_checks(names=names, cache_dir=cache,
-                                 solve_missing=args.solve_missing,
+    for res in verify.run_checks(names=names, cache_dir=cfg.cache_dir,
+                                 solve_missing=solve_missing,
                                  tolerances=cfg.tolerances):
         print(res.line())
         if res.skipped:
@@ -259,17 +255,19 @@ def main(argv=None) -> int:
         if args.jobs is not None:
             cfg.jobs = args.jobs
         cfg.validate()
+        cfg.out_dir = args.out or cfg.out_dir
+        cfg.cache_dir = eigen.resolve_cache_dir(args.cache, cfg.cache_dir)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
         if args.command == "solve":
-            return cmd_solve(cfg, args)
+            return cmd_solve(cfg)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args)
+            return cmd_sweep(cfg)
         if args.command == "verify":
-            return cmd_verify(cfg, args)
+            return cmd_verify(cfg, args.solve_missing)
     except (FileNotFoundError, eigen.CacheRecordError,
             quad.ConvergenceError) as exc:
         print(str(exc), file=sys.stderr)

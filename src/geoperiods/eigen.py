@@ -25,7 +25,7 @@ import io
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,6 +59,7 @@ _log = logging.getLogger(__name__)
 
 CACHE_ENV_VAR = "GEOPERIODS_CACHE"
 _CACHE_FORMAT_VERSION = 1
+_OPTIONAL = ("height_agreement", "bracket")   # record keys that may be missing
 
 
 def resolve_cache_dir(*candidates) -> str:
@@ -268,7 +269,8 @@ class _KappaTable:
 
 @dataclass
 class MaassForm:
-    """Cuspidal eigenfunction data on the modular surface.
+    """Cuspidal eigenfunction data on the modular surface; its fields are
+    the layout of a cache record (see ``save_form``).
 
     ``coefficients[n-1]`` is the n-th Fourier-Bessel coefficient in the
     a_1 = 1 normalization; ``l2_scale`` rescales to unit L^2 norm with
@@ -286,35 +288,36 @@ class MaassForm:
     r_stability: float = np.nan
     height_agreement: float = np.nan
     bracket: tuple = ()
-    _table: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.coefficients = np.asarray(self.coefficients, dtype=float)
+        self.bracket = tuple(self.bracket)
 
     @property
     def mu(self) -> float:
         return 0.25 + self.R * self.R
 
-    def _ensure_table(self):
-        if self._table is None:
-            u_max = 60.0 + 2.0 * self.R
-            self._table = _KappaTable(self.R, 2.0 * np.pi * 0.28, u_max)
-        return self._table
+    @functools.cached_property
+    def _kappa(self):
+        """The K_iR table of this form's R, built on first use."""
+        return _KappaTable(self.R, 2.0 * np.pi * 0.28, 60.0 + 2.0 * self.R)
 
     def value(self, z):
         """Evaluate at complex z (scalar or array), pulling back first.
 
-        The K_iR kernel comes from the cubic table of ``_ensure_table``.
+        The K_iR kernel comes from the cubic table ``_kappa``.
         """
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
         pts = np.array([pullback(w) for w in zz.ravel()])
         x = pts.real
         y = pts.imag
         osc = np.cos if self.parity == "even" else np.sin
-        kap = self._ensure_table()
         total = np.zeros(x.shape)
         sy = np.sqrt(y)
         for idx, a in enumerate(self.coefficients):
             n = idx + 1
             u = 2.0 * np.pi * n * y
-            total += a * kap(u) * sy * osc(2.0 * np.pi * n * x)
+            total += a * self._kappa(u) * sy * osc(2.0 * np.pi * n * x)
         total *= self.l2_scale
         total = total.reshape(np.shape(z)) if np.ndim(z) else float(total[0])
         return total
@@ -669,22 +672,17 @@ def _write_csv(path, header, rows):
     _atomic_write(path, buf.getvalue())
 
 
-def save_form(form: MaassForm, path):
-    record = {
-        "format_version": _CACHE_FORMAT_VERSION,
-        "surface": "modular",
-        "R": form.R,
-        "parity": form.parity,
-        "M0": form.M0,
-        "y0": form.y0,
-        "coefficients": [float(c) for c in form.coefficients],
-        "l2_scale": form.l2_scale,
-        "residual": form.residual,
-        "r_stability": form.r_stability,
-        "height_agreement": form.height_agreement,
-        "bracket": list(form.bracket),
-    }
+def save_form(form: MaassForm, cache_dir) -> str:
+    """Write the record of ``form`` into ``cache_dir`` under its
+    ``cache_path`` (from its bracket, parity and M0) and return the path.
+    The record has one key per ``MaassForm`` field, plus ``format_version``
+    and ``surface``."""
+    record = {f.name: getattr(form, f.name) for f in fields(MaassForm)}
+    record.update(format_version=_CACHE_FORMAT_VERSION, surface="modular",
+                  coefficients=form.coefficients.tolist())
+    path = cache_path(cache_dir, form.bracket, form.parity, form.M0)
     _write_json(path, record)
+    return path
 
 
 def load_form(path) -> MaassForm:
@@ -694,13 +692,8 @@ def load_form(path) -> MaassForm:
     try:
         with open(path) as fh:
             record = json.load(fh)
-        form = MaassForm(
-            R=record["R"], parity=record["parity"], M0=record["M0"],
-            y0=record["y0"], coefficients=np.array(record["coefficients"]),
-            l2_scale=record["l2_scale"], residual=record["residual"],
-            r_stability=record["r_stability"],
-            height_agreement=record.get("height_agreement", np.nan),
-            bracket=tuple(record.get("bracket", ())))
+        form = MaassForm(**{f.name: record[f.name] for f in fields(MaassForm)
+                            if f.name in record or f.name not in _OPTIONAL})
         lo, hi = form.bracket or (-np.inf, np.inf)
         problems = [message for ok, message in [
             (record.get("format_version") == _CACHE_FORMAT_VERSION,

@@ -50,7 +50,7 @@ _MIN_CIRCLE_RADIUS = 1e-3
 _MIN_GEODESIC_LENGTH = 1e-2
 _ODD_CONSISTENCY_TOL = 1e-8     # odd circle periods, relative to max|fourier|
 TABLE_GRID = 2048               # restriction grid of ``coefficient_table``
-EXTRACT_THRESHOLD = 1e-10       # and its extraction threshold
+EXTRACT_THRESHOLD = 1e-10       # near-zero density cut, x max|density|
 
 
 class StructuralInconsistencyError(Exception):
@@ -223,14 +223,14 @@ def periods(profile: RestrictionProfile, n_range) -> PeriodTable:
                        mean_square=profile.mean_square())
 
 
-def extract_coefficients(table: PeriodTable, density: DensityTable,
-                         threshold=1e-12) -> PeriodTable:
+def extract_coefficients(table: PeriodTable,
+                         density: DensityTable) -> PeriodTable:
     """Divide mass-one periods by model-density entries.
 
-    Entries with |density| below ``threshold`` x max|density| are flagged
-    "near-zero model density" and skipped.  For circle densities the odd
-    periods must vanish along with the odd density entries; a violation
-    raises StructuralInconsistencyError.
+    Entries with |density| below ``EXTRACT_THRESHOLD`` x max|density| are
+    flagged "near-zero model density" and skipped.  For circle densities
+    the odd periods must vanish along with the odd density entries; a
+    violation raises StructuralInconsistencyError.
     """
     if table.spectral_r is not None:
         lam_table = 2.0 * table.spectral_r
@@ -238,7 +238,7 @@ def extract_coefficients(table: PeriodTable, density: DensityTable,
             raise ValueError(
                 f"density parameter |lam|={abs(density.param.lam):g} does not "
                 f"match the restriction's spectral parameter {lam_table:g}")
-    cut = threshold * density.max_abs()
+    cut = EXTRACT_THRESHOLD * density.max_abs()
     scale = float(np.max(np.abs(table.fourier))) + 1e-300
     a = {}
     flags = {}
@@ -274,7 +274,7 @@ def coefficient_table(phi: Eigenfunction, curve, n_range) -> PeriodTable:
     The one chain from (form, curve) to a coefficient table: ``restrict``
     at ``TABLE_GRID``, ``periods`` over ``n_range``, then ``density_b`` at
     q = 1/ln a for a GeodesicOrbit or ``density_c`` of the radius element
-    for a CircleOrbit, and ``extract_coefficients`` at ``EXTRACT_THRESHOLD``.
+    for a CircleOrbit, and ``extract_coefficients``.
     """
     if not isinstance(curve, (GeodesicOrbit, CircleOrbit)):
         raise ValueError(f"no model density for curve {curve.curve_id()}")
@@ -284,7 +284,7 @@ def coefficient_table(phi: Eigenfunction, curve, n_range) -> PeriodTable:
         density = density_b(par, curve.q, n_range)
     else:
         density = density_c(par, curve.g, n_range)
-    return extract_coefficients(table, density, threshold=EXTRACT_THRESHOLD)
+    return extract_coefficients(table, density)
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,7 @@ def acceptance_forms(cache_dir, solve_missing=True, brackets=ACCEPTANCE_BRACKETS
             if not solve_missing:
                 return None
             found = eigen.hejhal_solve(bracket, parity="auto")
-            eigen.save_form(found, eigen.cache_path(
-                cache_dir, bracket, found.parity, found.M0))
+            eigen.save_form(found, cache_dir)
         forms.append(found)
     return forms
 

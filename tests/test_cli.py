@@ -204,8 +204,7 @@ def test_non_default_m0_record_found_by_sweep_and_verify(tmp_path, first_form,
     cache = tmp_path / "cache"
     padded = dataclasses.replace(first_form, M0=30, coefficients=np.pad(
         first_form.coefficients, (0, 30 - first_form.M0)))
-    eigen.save_form(padded, eigen.cache_path(cache, (9.0, 10.0),
-                                             padded.parity, 30))
+    assert os.path.basename(eigen.save_form(padded, cache)).endswith("_M30.json")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"recipe": "maass-restriction",
                                "brackets": [[9.0, 10.0]],
@@ -225,14 +224,13 @@ def test_non_default_m0_record_found_by_sweep_and_verify(tmp_path, first_form,
 
 def test_outputs_follow_umask(tmp_path, first_form, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    record = tmp_path / "cache" / "form.json"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"recipe": "sphere-sharpness",
                                "sphere_degrees": [10, 40],
                                "out_dir": "out"}))
     old = os.umask(0o022)
     try:
-        eigen.save_form(first_form, record)
+        record = eigen.save_form(first_form, tmp_path / "cache")
         res = run_main(["--config", str(cfg), "sweep"], capsys)
     finally:
         os.umask(old)
@@ -350,7 +348,7 @@ def test_recipe_does_no_io_and_names_the_files_the_cli_writes(
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
-    files, lines, status = RECIPES[recipe](cfg, cfg.cache_dir, "out")
+    files, lines, status = RECIPES[recipe](cfg)
     assert os.listdir(work) == []
     res = run_main(["--config", str(tmp_path / "cfg.json"), "sweep"], capsys)
     assert res.returncode == status == 0, res.stderr

@@ -242,8 +242,8 @@ def test_find_form_prefers_highest_m0(tmp_path, first_form):
     for m0 in (first_form.M0, first_form.M0 + 8):
         padded = dataclasses.replace(first_form, M0=m0, coefficients=np.pad(
             first_form.coefficients, (0, m0 - first_form.M0)))
-        eigen.save_form(padded, eigen.cache_path(
-            tmp_path, first_form.bracket, first_form.parity, m0))
+        assert eigen.save_form(padded, tmp_path) == eigen.cache_path(
+            tmp_path, first_form.bracket, first_form.parity, m0)
     found = eigen.find_form(str(tmp_path), first_form.bracket)
     assert found.M0 == first_form.M0 + 8
     assert found.R == first_form.R
@@ -357,13 +357,55 @@ def test_modular_coefficient_stability(first_form):
 
 
 def test_modular_cache_roundtrip(tmp_path, first_form):
-    path = tmp_path / "form.json"
-    eigen.save_form(first_form, path)
+    path = eigen.save_form(first_form, tmp_path)
+    assert path == eigen.cache_path(tmp_path, first_form.bracket,
+                                    first_form.parity, first_form.M0)
     loaded = eigen.load_form(path)
     assert loaded.R == first_form.R
     assert loaded.parity == first_form.parity
     z = 0.17 + 1.23j
     assert loaded.value(z) == pytest.approx(first_form.value(z), rel=1e-12)
+
+
+@pytest.mark.parametrize("record", COMMITTED_RECORDS, ids=os.path.basename)
+def test_committed_record_roundtrips_byte_for_byte(tmp_path, record):
+    path = eigen.save_form(eigen.load_form(record), tmp_path)
+    assert os.path.basename(path) == os.path.basename(record)
+    with open(path, "rb") as saved, open(record, "rb") as committed:
+        assert saved.read() == committed.read()
+
+
+def test_replaced_form_evaluates_with_its_own_table():
+    # the K_iR table is derived from R: a form replaced with another R,
+    # after the original built its table, builds its own
+    form = eigen.load_form(COMMITTED_RECORDS[0])
+    z = np.array([0.1 + 1.0j, -0.3 + 2.0j, 0.45 + 0.9j])
+    form.value(z)
+    moved = dataclasses.replace(form, R=form.R + 1.0)
+    w = np.array([pullback(p) for p in z])
+    n = np.arange(1, len(form.coefficients) + 1)
+    osc = np.cos if form.parity == "even" else np.sin
+    direct = form.l2_scale * np.sqrt(w.imag) * (
+        (bessel_k_imag(moved.R, 2 * np.pi * np.outer(w.imag, n))
+         * osc(2 * np.pi * np.outer(w.real, n))) @ form.coefficients)
+    assert np.max(np.abs(moved.value(z) - direct)) <= 1e-9 * np.max(
+        np.abs(direct))
+    # every way of making a form gives the same field types
+    listed = dataclasses.replace(form, coefficients=[1, 0], bracket=[9, 10])
+    assert listed.coefficients.dtype == float
+    assert listed.bracket == (9, 10)
+
+
+@pytest.mark.parametrize("key,default", [("height_agreement", np.nan),
+                                         ("bracket", ())])
+def test_record_without_an_optional_key_loads(tmp_path, key, default):
+    path = tmp_path / "record.json"
+    record = _write_record(path)
+    del record[key]
+    path.write_text(json.dumps(record))
+    form = eigen.load_form(path)
+    assert form.R == record["R"]
+    assert np.array_equal(getattr(form, key), default, equal_nan=True)
 
 
 def _write_record(path, **changes):

@@ -191,7 +191,7 @@ def test_extract_threshold_flags():
     dens = density_b(par, 2.0, (-30, 30))
     plant = {0: 1.0 + 0j, 1: 0.5j}
     table = periods(synth_profile(dens, plant), (-30, 30))
-    extract_coefficients(table, dens, threshold=1e-12)
+    extract_coefficients(table, dens)
     flagged = [n for n, why in table.flags.items()
                if why == "near-zero model density"]
     assert flagged
@@ -237,8 +237,7 @@ def test_coefficient_table_is_the_explicit_chain(first_eigenfunction, kind):
         dens = density_c(par, curve.g, n_range)
     table = coefficient_table(phi, curve, n_range)
     ref = extract_coefficients(
-        periods(restrict(phi, curve, grid=2048), n_range), dens,
-        threshold=1e-10)
+        periods(restrict(phi, curve, grid=2048), n_range), dens)
     assert table.density.kind == kind
     assert np.array_equal(table.fourier, ref.fourier)
     assert np.array_equal(table.density.entries, ref.density.entries)
