@@ -24,6 +24,7 @@ import glob
 import io
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
@@ -43,6 +44,7 @@ __all__ = [
     "torus_mode",
     "hejhal_solve",
     "check_solve",
+    "hecke_defects",
     "as_eigenfunction",
     "evaluate",
     "pullback",
@@ -379,11 +381,16 @@ class _Collocation:
 
 
 class _Locator:
-    """Sign of the a_2 mismatch between two collocation heights."""
+    """Sign of the a_2 mismatch between two collocation heights.
 
-    def __init__(self, M0, parity, y1, y2):
+    ``tables`` holds the scan tables of ``_table_scan`` by horocycle
+    arguments and grid; the kernel arguments do not depend on parity, so
+    ``hejhal_solve`` hands the locators of both parities one dict."""
+
+    def __init__(self, M0, parity, y1, y2, tables=None):
         self.coll1 = _Collocation(y1, M0 + 12, M0, parity)
         self.coll2 = _Collocation(y2, M0 + 12, M0, parity)
+        self.tables = {} if tables is None else tables
 
     def indicator(self, R, kernels=(None, None)):
         c1, r1 = self.coll1.solve(R, kernels[0])
@@ -391,11 +398,19 @@ class _Locator:
         return float(c1[1] - c2[1]), c1, c2, max(r1, r2)
 
     def _table_scan(self, rs):
-        """The indicator over the grid ``rs`` from Chebyshev tables."""
-        (k1, tail1), (k2, tail2) = self.coll1.table(rs), self.coll2.table(rs)
+        """The indicator over the grid ``rs`` from Chebyshev tables, built
+        unless ``tables`` has them."""
+        pairs, built = [], 0
+        for coll in (self.coll1, self.coll2):
+            key = (coll.u_y.tobytes(), rs.tobytes())
+            if key not in self.tables:
+                self.tables[key] = coll.table(rs)
+                built += 1
+            pairs.append(self.tables[key])
+        (k1, tail1), (k2, tail2) = pairs
         _log.debug("scan of %d points over [%.6f, %.6f] from %d-node "
-                   "tables, Chebyshev tail %.1e", len(rs), rs[0], rs[-1],
-                   _CHEB_NODES, max(tail1, tail2))
+                   "tables (%d built), Chebyshev tail %.1e", len(rs), rs[0],
+                   rs[-1], _CHEB_NODES, built, max(tail1, tail2))
         return np.array([self.indicator(r, pair)[0]
                          for r, pair in zip(rs, zip(k1, k2))])
 
@@ -500,13 +515,15 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
     lo, hi = float(r_bracket[0]), float(r_bracket[1])
 
     reasons = []
+    tables = {}     # the scan tables, shared by both parities
 
     def reject(reason):
         _log.debug("rejected: %s", reason)
         reasons.append(reason)
 
     for par in ("even", "odd") if parity == "auto" else (parity,):
-        locator = _Locator(M0, par, y1=y0, y2=max(0.28, y0 - 0.05))
+        locator = _Locator(M0, par, y1=y0, y2=max(0.28, y0 - 0.05),
+                           tables=tables)
         n_reasons = len(reasons)
         for r_loc, why in locator.roots(np.arange(lo, hi + _SCAN_STEP / 2,
                                                   _SCAN_STEP)):
@@ -544,6 +561,25 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
             reject(f"{par}: no sign change of the locator")
     raise NoEigenvalueError(f"no verified eigenvalue in [{lo:g}, {hi:g}]: "
                             + "; ".join(reasons))
+
+
+def hecke_defects(form: MaassForm) -> dict:
+    """The worst defect of the Hecke relations at each index k <= M0 that
+    one reaches: |a_k - a_m a_n| for k = mn with coprime m, n > 1, and
+    |a_k - (a_p^2 - 1)| for k = p^2 with p prime.  A Hecke eigenform has
+    every defect 0 (Booker, Strombergsson and Venkatesh 2006 use them to
+    certify computed forms); ``{k: defect}`` in increasing k."""
+    a = np.concatenate([[np.nan], form.coefficients])       # a[n], a[1] = 1
+    out = {}
+    for k in range(4, len(a)):
+        root = math.isqrt(k)
+        defects = [abs(a[k] - a[m] * a[k // m]) for m in range(2, root + 1)
+                   if k % m == 0 and math.gcd(m, k // m) == 1]
+        if root * root == k and all(root % q for q in range(2, root)):
+            defects.append(abs(a[k] - (a[root] ** 2 - 1.0)))
+        if defects:
+            out[k] = float(max(defects))
+    return out
 
 
 @functools.cache

@@ -154,8 +154,12 @@ def _round_nodes(n):
 
 
 def _gauss(n):
+    """The x > 0 half of the n-point Gauss-Legendre rule (every rung is
+    even, so its nodes pair as +-x with equal weights), weights doubled:
+    the rule's sum for an even integrand over [-1, 1]."""
     if n not in _gauss_cache:
-        _gauss_cache[n] = np.polynomial.legendre.leggauss(n)
+        x, w = np.polynomial.legendre.leggauss(n)
+        _gauss_cache[n] = x[n // 2:], 2.0 * w[n // 2:]
     return _gauss_cache[n]
 
 
@@ -179,15 +183,32 @@ def _kappa_contour(R, u):
     rate = u * cd
     smax = np.arccosh(1.0 + 48.0 / np.maximum(rate, 1e-300))
     theta = u * sd * np.sinh(smax) + R * smax
-    n = _round_nodes(np.minimum(3e5, np.maximum(256, 0.9 * theta + 128)))
+    n = _round_nodes(np.minimum(3e5, _node_budget(theta, smax, rate)))
     return delta, sd, cd, rate, smax, n
+
+
+def _node_budget(theta, smax, rate):
+    """Gauss-Legendre nodes for the contour integral over [-smax, smax]:
+    one per 3 radians of the phase count ``theta``, 6 per unit of s and
+    per Gaussian width ``1/sqrt(rate)`` (the amplitude's peak and, when
+    rate is small, its double-exponential ends), and 16 more.
+
+    Without the 16 the count is 8 or more above the smallest that reaches
+    5e-14 of the amplitude's integral, against mpmath in extended
+    precision over R in [0, 40] and u in [1e-4, 1e4] (the coefficients are
+    rounded from a linear-programming fit to those counts); the 16 take
+    the error to a few times the rounding floor (6e-15 at most)."""
+    return theta / 3.0 + 6.0 * smax * (1.0 + np.sqrt(rate)) + 16.0
 
 
 def bessel_k_imag(R, u):
     """Scaled modified Bessel function ``e^{pi R/2} K_{iR}(u)``.
 
     ``u`` may be a scalar or an array of positive reals; ``0 <= R <= 40``.
-    Good to ~1e-9 relative where the value is not vanishingly small.
+    Against mpmath at 90 log-spaced u in [0.3, 700], the worst error
+    (relative to max|K| below the turning point u = R, to the value above
+    it) is 4e-15 at R = 0, 3e-14 at R <= 2, 2e-11 at R = 9.53 and 13.8,
+    6e-11 at 25 and 2e-10 at 40.
     """
     R = float(R)
     if R < 0.0:
@@ -203,14 +224,16 @@ def bessel_k_imag(R, u):
     out = np.empty(uu.shape)
     delta, sd, cd, rate, smax, nn = _kappa_contour(R, uu)
     pref = np.exp(R * (np.pi / 2 - delta) - rate)
-    # one vectorized pass per distinct node count (grids differ via smax)
+    # one vectorized pass per distinct node count (grids differ via smax);
+    # amp is even and ph odd in s, so the half rule of _gauss suffices
     for n in np.unique(nn):
         sel = np.where(nn == n)[0]
         x, w = _gauss(int(n))
         for k in range(0, len(sel), 512):
             idx = sel[k:k + 512]
             s = smax[idx, None] * x[None, :]
-            amp = np.exp(-rate[idx, None] * (np.cosh(s) - 1.0))
+            # cosh s - 1 = 2 sinh^2(s/2), without the cancellation near 0
+            amp = np.exp(-2.0 * rate[idx, None] * np.sinh(0.5 * s) ** 2)
             ph = (uu[idx] * sd[idx])[:, None] * np.sinh(s) - R * s
             out[idx] = 0.5 * smax[idx] * ((amp * np.cos(ph)) @ w)
     out *= pref

@@ -8,12 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from geoperiods import eigen
+from geoperiods import eigen, verify
 from geoperiods.eigen import (CacheRecordError, NoEigenvalueError,
                               ReductionError, evaluate, laplace_residual,
                               pullback, sphere_harmonic, torus_mode)
 from geoperiods.quad import periodic_fourier
 from geoperiods.specfun import bessel_k_imag
+
+from conftest import CACHE_DIR
 
 RNG = np.random.default_rng(13)
 
@@ -483,11 +485,73 @@ def test_cold_solve_matches_committed_record(caplog):
     assert abs(form.R - record["R"]) < 1e-9
     assert np.max(np.abs(form.coefficients[:12]
                          - record["coefficients"][:12])) < 1e-8
+    assert max(d for k, d in eigen.hecke_defects(form).items()
+               if k <= 10) < 1e-6
     trace = "\n".join(r.getMessage() for r in caplog.records)
     for step in ("scan of 71 points", "Chebyshev tail", "sign flip in",
                  "exact indicator calls", "rejected: even: candidate"):
         assert step in trace
     assert {r.levelno for r in caplog.records} == {logging.DEBUG}
+
+
+def test_parities_share_one_pair_of_scan_tables(monkeypatch, caplog):
+    # with parity="auto" the even scan of (9, 10) finds nothing and the odd
+    # scan reuses its tables: one table per collocation height, not two
+    built = []
+    table = eigen._Collocation.table
+    monkeypatch.setattr(eigen._Collocation, "table",
+                        lambda self, rs: built.append(self) or table(self, rs))
+    with caplog.at_level(logging.DEBUG, logger="geoperiods.eigen"):
+        form = eigen.hejhal_solve((9.0, 10.0), parity="auto")
+    assert len(built) == 2
+    scans = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("scan of")]
+    assert ["(2 built)" in m for m in scans] == [True, False]
+    assert "(0 built)" in scans[1]
+    with open(os.path.join(os.path.dirname(__file__), "..", "form_cache",
+                           "maass_odd_9.0000_10.0000_M22.json")) as fh:
+        record = json.load(fh)
+    assert form.parity == record["parity"] == "odd"
+    assert abs(form.R - record["R"]) < 1e-9
+
+
+@pytest.mark.parametrize("record", COMMITTED_RECORDS, ids=os.path.basename)
+def test_committed_records_satisfy_hecke_relations(record):
+    # a_mn = a_m a_n (m, n coprime) and a_{p^2} = a_p^2 - 1, through mn = 10
+    defects = eigen.hecke_defects(eigen.load_form(record))
+    assert sorted(k for k in defects if k <= 10) == [4, 6, 9, 10]
+    assert max(defects[k] for k in (4, 6, 9, 10)) < 1e-6
+
+
+def test_hecke_defects_locate_a_broken_relation():
+    # multiplicative coefficients from a_2, a_3, a_5, a_7 and the prime
+    # power recursion a_{p^(k+1)} = a_p a_{p^k} - a_{p^(k-1)}: no defect,
+    # until a_6 alone is moved
+    a = np.zeros(13)
+    a[1], a[2], a[3], a[5], a[7], a[11] = 1.0, -0.7, 1.3, 0.4, -1.1, 0.9
+    a[4], a[9] = a[2] ** 2 - 1, a[3] ** 2 - 1
+    a[8] = a[2] * a[4] - a[2]
+    a[6], a[10], a[12] = a[2] * a[3], a[2] * a[5], a[3] * a[4]
+    form = eigen.MaassForm(R=9.5, parity="odd", M0=12, y0=0.4,
+                           coefficients=a[1:])
+    defects = eigen.hecke_defects(form)
+    assert sorted(defects) == [4, 6, 9, 10, 12]
+    assert max(defects.values()) < 1e-15
+    a[6] += 1e-3
+    defects = eigen.hecke_defects(dataclasses.replace(form, coefficients=a[1:]))
+    assert defects[6] == pytest.approx(1e-3, rel=1e-9)
+    assert max(d for k, d in defects.items() if k != 6) < 1e-15
+
+
+def test_criterion_06_requires_the_hecke_relations(monkeypatch):
+    # the Parseval defects pass; a Hecke defect of 2e-6 at index 4 fails
+    # the check, and one beyond mn = 10 is not read
+    monkeypatch.setattr(eigen, "hecke_defects",
+                        lambda form: {4: 2e-6, 6: 0.0, 12: 1.0})
+    [res] = verify.run_checks(names=["plancherel-identity"],
+                              cache_dir=CACHE_DIR, solve_missing=False)
+    assert not res.skipped and not res.passed
+    assert "Hecke mn <= 10: worst defect 2.00e-06 (< 1e-06)" in res.details
 
 
 def test_table_flip_without_exact_flip_is_rejected(monkeypatch):

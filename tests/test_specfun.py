@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from geoperiods import eigen, quad
-from geoperiods.specfun import (_NODE_LADDER, DomainError, PoleError,
-                                UnsupportedRangeError, _kappa_contour,
-                                bessel_k_imag, log_gamma, table_integral)
+from geoperiods.specfun import (_NODE_LADDER, _TILT_R_MIN, DomainError,
+                                PoleError, UnsupportedRangeError,
+                                _kappa_contour, bessel_k_imag, log_gamma,
+                                table_integral)
 
 from oracles import conical_legendre
 
@@ -191,11 +192,12 @@ def test_bessel_array_matches_scalar():
 @pytest.mark.parametrize("R", [0.5, 9.5, 40.0])
 def test_node_counts_are_ladder_rungs(R):
     # each node count is the smallest rung at or above the raw budget
-    # 0.9 theta + 128 (clipped to [256, 3e5]), looked up one element at a time
+    # theta / 3 + 6 smax (1 + sqrt(rate)) + 16 (capped at 3e5), looked up
+    # one element at a time
     u = np.logspace(-3, 3, 400)
     delta, sd, cd, rate, smax, n = _kappa_contour(R, u)
     theta = u * sd * np.sinh(smax) + R * smax
-    raw = np.minimum(3e5, np.maximum(256, 0.9 * theta + 128))
+    raw = np.minimum(3e5, theta / 3 + 6 * smax * (1 + np.sqrt(rate)) + 16)
     ladder = [int(r) for r in _NODE_LADDER]
     ref = [next((r for r in ladder if r >= v), ladder[-1]) for v in raw]
     assert n.tolist() == ref
@@ -211,6 +213,25 @@ def test_bessel_matches_mpmath(R):
     mpmath.mp.dps = 30
     us = (np.array([0.05, 0.5, 1.0, 3.0, 10.0]) if R == 0.0 else R * np.array(
         [0.1, 0.3, 0.6, 0.9, 0.97, 1.0, 1.03, 1.1, 1.3, 1.6, 2.0, 3.0]))
+    ref = np.array([float(mpmath.re(mpmath.besselk(1j * R, u)
+                                    * mpmath.exp(mpmath.pi * R / 2)))
+                    for u in us])
+    below = us < R
+    scale = np.where(below, np.max(np.abs(ref), where=below, initial=0.0),
+                     np.abs(ref))
+    err = np.abs(bessel_k_imag(R, us) - ref) / scale
+    assert np.max(err) < 1e-9, us[np.argmax(err)]
+
+
+@pytest.mark.parametrize("R", [0.0, 0.5, 2.0, _TILT_R_MIN, 9.5, 13.8, 25.0,
+                               39.9, 40.0])
+def test_bessel_matches_mpmath_on_a_dense_grid(R):
+    """Against mpmath's K_iR at 25 log-spaced u over [0.3, 700], which
+    covers the solver's arguments and every form table's domain
+    [2 pi 0.28, 60 + 2R]; scaled as in ``test_bessel_matches_mpmath``."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    us = np.logspace(np.log10(0.3), np.log10(700.0), 25)
     ref = np.array([float(mpmath.re(mpmath.besselk(1j * R, u)
                                     * mpmath.exp(mpmath.pi * R / 2)))
                     for u in us])
