@@ -227,45 +227,36 @@ def _clenshaw(coeffs, x, columns=...):
 
 
 class _KappaTable:
-    """Cubic interpolant of u -> e^{pi R/2} K_{iR}(u) on a log grid.
+    """u -> e^{pi R/2} K_{iR}(u) on the range ``MaassForm.value`` reads,
+    [2 pi sqrt(3)/2, 60 + 2R] (0 above it): Chebyshev interpolants on
+    ``_KAPPA_PANELS`` equal panels in log u, each through ``_KAPPA_NODES``
+    exact ``bessel_k_imag`` samples, summed by Clenshaw on each point's
+    own panel."""
 
-    The grid of ``_KAPPA_GRID`` points is filled by Clenshaw from
-    Chebyshev interpolants on ``_KAPPA_PANELS`` equal panels in log u,
-    each through ``_KAPPA_NODES`` exact ``bessel_k_imag`` samples."""
-
-    def __init__(self, R, u_min, u_max):
-        self.lo = np.log(u_min)
-        self.hi = np.log(u_max)
-        self.n = _KAPPA_GRID
-        self.step = (self.hi - self.lo) / (self.n - 1)
-        width = (self.hi - self.lo) / _KAPPA_PANELS
+    def __init__(self, R):
+        u_lo, u_hi = 2.0 * np.pi * np.sqrt(3.0) / 2.0, 60.0 + 2.0 * R
+        self.lo, self.hi = np.log(u_lo), np.log(u_hi)
+        self.width = (self.hi - self.lo) / _KAPPA_PANELS
         t = _cheb_nodes(_KAPPA_NODES)
-        mids = self.lo + width * (np.arange(_KAPPA_PANELS) + 0.5)
-        samples = bessel_k_imag(R, np.exp(mids + 0.5 * width * t[:, None]))
-        coeffs, tail = _cheb_fit(t, samples)
-        s = np.linspace(0.0, _KAPPA_PANELS, self.n)
-        panel = np.minimum(s.astype(int), _KAPPA_PANELS - 1)
-        self.values = _clenshaw(coeffs, 2.0 * (s - panel) - 1.0, panel)
+        mids = self.lo + self.width * (np.arange(_KAPPA_PANELS) + 0.5)
+        samples = bessel_k_imag(R, np.exp(mids + 0.5 * self.width * t[:, None]))
+        self.coeffs, _ = _cheb_fit(t, samples)
+        tail = (np.max(np.sum(np.abs(self.coeffs[-2:]), axis=0))
+                / np.max(np.abs(samples)))
         _log.debug("K_iR table at R=%.6f: %d exact Bessel points (%d panels "
-                   "x %d nodes), %d-point grid, worst panel tail %.1e",
-                   R, samples.size, _KAPPA_PANELS, _KAPPA_NODES, self.n, tail)
+                   "x %d nodes) over u in [%.4f, %.4f], Chebyshev tail %.1e "
+                   "of the largest sample", R, samples.size, _KAPPA_PANELS,
+                   _KAPPA_NODES, u_lo, u_hi, tail)
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros(u.shape)
-        live = (u > 0) & (np.log(np.maximum(u, 1e-300)) < self.hi)
-        if not live.any():
-            return out
-        t = (np.log(u[live]) - self.lo) / self.step
-        i = np.clip(np.floor(t).astype(int), 1, self.n - 3)
-        s = t - i
-        ym1, y0, y1, y2 = (self.values[i - 1], self.values[i],
-                           self.values[i + 1], self.values[i + 2])
-        # 4-point Lagrange on the uniform log grid
-        out[live] = (ym1 * (-s * (s - 1) * (s - 2) / 6.0)
-                     + y0 * ((s * s - 1) * (s - 2) / 2.0)
-                     + y1 * (-s * (s + 1) * (s - 2) / 2.0)
-                     + y2 * (s * (s * s - 1) / 6.0))
+        log_u = np.log(np.asarray(u, dtype=float))
+        out = np.zeros(log_u.shape)
+        live = log_u < self.hi
+        # pullback leaves y a rounding sliver below sqrt(3)/2: the first
+        # panel's interpolant takes it
+        s = (log_u[live] - self.lo) / self.width
+        panel = np.clip(s.astype(int), 0, _KAPPA_PANELS - 1)
+        out[live] = _clenshaw(self.coeffs, 2.0 * (s - panel) - 1.0, panel)
         return out
 
 
@@ -302,12 +293,12 @@ class MaassForm:
     @functools.cached_property
     def _kappa(self):
         """The K_iR table of this form's R, built on first use."""
-        return _KappaTable(self.R, 2.0 * np.pi * 0.28, 60.0 + 2.0 * self.R)
+        return _KappaTable(self.R)
 
     def value(self, z):
         """Evaluate at complex z (scalar or array), pulling back first.
 
-        The K_iR kernel comes from the cubic table ``_kappa``.
+        The K_iR kernel comes from the Chebyshev table ``_kappa``.
         """
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
         pts = np.array([pullback(w) for w in zz.ravel()])
@@ -467,8 +458,9 @@ class _Locator:
 # locator scan step, half width of the confirming window, Chebyshev nodes
 # of a scan table, root bracket width and least-squares cutoff; acceptance
 # bounds on residual, height agreement and movement under deeper
-# truncation; a form's K_iR table: panels in log u, Chebyshev nodes per
-# panel and points of the cubic grid
+# truncation; a form's K_iR table: panels in log u and Chebyshev nodes
+# per panel, the fewest exact points that keep its error at the integral's
+# own for R = 9.53 to 39.9
 _SCAN_STEP = 0.01
 _WINDOW = 1e-4
 _CHEB_NODES = 24
@@ -477,9 +469,8 @@ _RCOND = 1e-9
 _RESIDUAL_TOL = 1e-8
 _AGREEMENT_TOL = 1e-6
 _STABILITY_TOL = 1e-6
-_KAPPA_PANELS = 32
-_KAPPA_NODES = 24
-_KAPPA_GRID = 32768
+_KAPPA_PANELS = 40
+_KAPPA_NODES = 14
 # the solver evaluates R below hi + (_SCAN_STEP / 2 + _WINDOW)
 _R_MAX = _BESSEL_R_MAX - (_SCAN_STEP / 2 + _WINDOW)
 

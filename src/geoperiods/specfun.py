@@ -10,6 +10,8 @@ live in the test suite only.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -137,7 +139,6 @@ _BESSEL_R_MAX = 40.0
 # roundoff floor in the worst (u << R) case
 _TILT_BUDGET = 10.5
 _TILT_R_MIN = _TILT_BUDGET / (np.pi / 2)
-_gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 # node counts quantized to a geometric ladder so leggauss is generated a
 # bounded number of times over any workload
@@ -153,14 +154,13 @@ def _round_nodes(n):
                                         np.minimum(n, _NODE_LADDER[-1]))]
 
 
+@functools.cache
 def _gauss(n):
     """The x > 0 half of the n-point Gauss-Legendre rule (every rung is
     even, so its nodes pair as +-x with equal weights), weights doubled:
     the rule's sum for an even integrand over [-1, 1]."""
-    if n not in _gauss_cache:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _gauss_cache[n] = x[n // 2:], 2.0 * w[n // 2:]
-    return _gauss_cache[n]
+    x, w = np.polynomial.legendre.leggauss(n)
+    return x[n // 2:], 2.0 * w[n // 2:]
 
 
 def _kappa_contour(R, u):

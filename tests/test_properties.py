@@ -1,14 +1,25 @@
-"""Property-based checks of the group law, the Mobius action and the
-fundamental-domain reduction (hypothesis, derandomized so reruns agree)."""
+"""Property-based checks of the group law, the Mobius action, the
+fundamental-domain reduction and cusp-form evaluation (hypothesis,
+derandomized so reruns agree)."""
+
+import functools
+import glob
+import os
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import (assume, example, given, settings,  # noqa: E402
+                        strategies as st)
 
+from geoperiods import eigen  # noqa: E402
 from geoperiods.eigen import pullback  # noqa: E402
 from geoperiods.hypgeom import GroupElement, identity, mobius_act  # noqa: E402
+from geoperiods.specfun import bessel_k_imag  # noqa: E402
+
+COMMITTED_RECORDS = sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), "..", "form_cache", "maass_*.json")))
 
 entries = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 matrices = st.tuples(entries, entries, entries, entries)
@@ -52,3 +63,31 @@ def test_pullback_lands_in_the_fundamental_domain_and_stays(z):
     assert w.imag > 0
     assert w.imag >= np.sqrt(3) / 2 - 1e-12
     assert pullback(w) == w
+
+
+@functools.cache
+def committed_form(record):
+    """A committed form and max|phi| over the fundamental-domain grid."""
+    form = eigen.load_form(record)
+    pts, _ = eigen._fundamental_domain_grid()
+    return form, float(np.max(np.abs(form.value(pts))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.sampled_from(COMMITTED_RECORDS), st.lists(
+    st.builds(complex, st.floats(-8.0, 8.0), st.floats(1e-3, 10.0)),
+    min_size=1, max_size=12))
+@example(COMMITTED_RECORDS[0], [complex(-0.5, np.sqrt(3) / 2),  # e^{2 pi i/3}
+                                complex(0.5, np.sqrt(3) / 2),
+                                complex(-0.5, 1.3), complex(0.5, 9.5)])
+def test_form_value_matches_the_exact_kernel_series(record, zs):
+    # value reads K_iR from the form's table; the Fourier-Bessel series
+    # summed with bessel_k_imag at the pulled-back points must agree
+    form, scale = committed_form(record)
+    w = np.array([pullback(z) for z in zs])
+    n = np.arange(1, len(form.coefficients) + 1)
+    osc = np.cos if form.parity == "even" else np.sin
+    terms = (bessel_k_imag(form.R, 2 * np.pi * np.outer(w.imag, n))
+             * osc(2 * np.pi * np.outer(w.real, n)))
+    direct = form.l2_scale * np.sqrt(w.imag) * (terms @ form.coefficients)
+    assert np.max(np.abs(form.value(np.array(zs)) - direct)) <= 1e-12 * scale
