@@ -5,15 +5,16 @@ sharpness oracles); Laplace eigenfunctions on the modular surface are
 produced by an automorphy-collocation solver: a truncated Fourier-Bessel
 expansion is sampled on a low horocycle, pulled back into the fundamental
 domain, and the implied linear system is closed by regularized least
-squares.  Eigenvalues are zeros of a two-height coefficient mismatch:
-one locator routine finds its sign changes on a grid, over the bracket
-and then, at deeper truncation, over a narrow confirming window, and
-refines each by Illinois regula falsi on the exact kernel.  The bracket
-scan reads K_iR from a Chebyshev table in R per collocation (its
-arguments are fixed, only R varies); a sign change the exact kernel does
-not show at the ends is rejected.  ``NoEigenvalueError`` gives every
-rejected candidate's reason; the ``geoperiods.eigen`` logger traces the
-scans, sign changes, refinements and rejections at DEBUG.
+squares.  Eigenvalues are zeros of a two-height coefficient mismatch.
+One routine refines an interval by Illinois regula falsi when the exact
+indicator has opposite signs at its ends: each sign change of the grid
+scan of the bracket, and the window that confirms a candidate at deeper
+truncation.  The scan reads K_iR from a Chebyshev table in R per
+collocation (its arguments are fixed, only R varies), so a sign change
+the exact kernel does not show at the ends is rejected.
+``NoEigenvalueError`` gives every rejected candidate's reason; the
+``geoperiods.eigen`` logger traces the scans, sign changes, refinements
+and rejections at DEBUG.
 """
 
 from __future__ import annotations
@@ -405,12 +406,15 @@ class _Locator:
         return np.array([self.indicator(r, pair)[0]
                          for r, pair in zip(rs, zip(k1, k2))])
 
-    def _refine(self, a, b, ga, gb):
-        """Illinois regula falsi (Dowell-Jarratt 1971) on the exact
-        indicator, from a bracket with ga * gb < 0 down to ``_ROOT_WIDTH``.
-        A step bisects instead when the last three did not halve the
-        bracket, so it never takes more than four times bisection's steps."""
-        calls, side, widths = 0, 0, [np.inf] * 3
+    def refine(self, a, b):
+        """The zero of the exact indicator in [a, b] by Illinois regula
+        falsi (Dowell-Jarratt 1971) down to ``_ROOT_WIDTH``, or None when
+        the signs at a and b do not differ.  A step bisects when the last
+        three did not halve the bracket: at most 4x bisection's steps."""
+        ga, gb = self.indicator(a)[0], self.indicator(b)[0]
+        if not ga * gb < 0:
+            return None
+        calls, side, widths = 2, 0, [np.inf] * 3
         while b - a > _ROOT_WIDTH:
             c = (a * gb - b * ga) / (gb - ga)
             if not a < c < b or b - a > 0.5 * widths[-3]:
@@ -430,29 +434,18 @@ class _Locator:
                    "(%d kernel calls)", 0.5 * (a + b), calls, 4 * calls)
         return 0.5 * (a + b)
 
-    def roots(self, rs, near=None):
-        """Zeros of the indicator, one per sign change over the grid ``rs``
-        (each refined when it is reached), in grid order; with ``near`` only
-        the change whose left end is nearest ``near``.  A grid with more
-        points than a table has nodes is scanned from Chebyshev tables.
-        Yields (R, None), or (None, reason) for a change of a table scan
-        that the exact kernel does not show at the ends."""
-        tabled = len(rs) > _CHEB_NODES
-        gs = (self._table_scan(rs) if tabled
+    def roots(self, rs):
+        """(a, b, R) for each sign change [a, b] of the indicator over the
+        grid ``rs``, in grid order, with R = ``refine(a, b)`` computed when
+        it is reached (None where the exact kernel shows no sign change at
+        the ends).  A grid with more points than a table has nodes is
+        scanned from Chebyshev tables."""
+        gs = (self._table_scan(rs) if len(rs) > _CHEB_NODES
               else np.array([self.indicator(r)[0] for r in rs]))
-        flips = np.where(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]
-        if near is not None and len(flips):
-            flips = flips[[np.argmin(np.abs(rs[flips] - near))]]
-        for i in flips:
-            a, b, ga, gb = rs[i], rs[i + 1], gs[i], gs[i + 1]
+        for i in np.where(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]:
+            a, b = rs[i], rs[i + 1]
             _log.debug("sign flip in [%.6f, %.6f]", a, b)
-            if tabled:
-                ga, gb = self.indicator(a)[0], self.indicator(b)[0]
-                if not ga * gb < 0:
-                    yield None, (f"sign flip in [{a:.6f}, {b:.6f}] not "
-                                 f"confirmed by the exact kernel")
-                    continue
-            yield self._refine(a, b, ga, gb), None
+            yield a, b, self.refine(a, b)
 
 
 # locator scan step, half width of the confirming window, Chebyshev nodes
@@ -497,7 +490,8 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
 
     parity "even"/"odd" selects the cosine/sine expansion; "auto" tries
     even, then odd.  The returned R is confirmed by an independent
-    relocation at truncation M0+8 (recorded in ``r_stability``);
+    relocation at truncation M0+8, refined from the ends of the window
+    R +- ``_WINDOW`` (its move is recorded in ``r_stability``);
     candidates whose full-system residual or two-height coefficient
     agreement fail the tolerances are rejected.  If nothing survives,
     NoEigenvalueError carries the reason of every parity and candidate.
@@ -516,10 +510,11 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
         locator = _Locator(M0, par, y1=y0, y2=max(0.28, y0 - 0.05),
                            tables=tables)
         n_reasons = len(reasons)
-        for r_loc, why in locator.roots(np.arange(lo, hi + _SCAN_STEP / 2,
-                                                  _SCAN_STEP)):
+        for a, b, r_loc in locator.roots(np.arange(lo, hi + _SCAN_STEP / 2,
+                                                   _SCAN_STEP)):
             if r_loc is None:
-                reject(f"{par}: {why}")
+                reject(f"{par}: sign flip in [{a:.6f}, {b:.6f}] not "
+                       f"confirmed by the exact kernel")
                 continue
             cand = f"{par}: candidate R={r_loc:.6f}"
             _, c1, c2, resid = locator.indicator(r_loc)
@@ -530,8 +525,7 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
                 continue
             # confirm at deeper truncation
             deep = _Locator(M0 + 8, par, y1=min(y0, 0.35), y2=0.28)
-            window = np.linspace(r_loc - _WINDOW, r_loc + _WINDOW, 9)
-            r_deep, _ = next(deep.roots(window, near=r_loc), (None, None))
+            r_deep = deep.refine(r_loc - _WINDOW, r_loc + _WINDOW)
             if r_deep is None:
                 reject(f"{cand} not confirmed at M0+8")
                 continue

@@ -169,13 +169,16 @@ def hyperbolic_distance(z, w):
 class GeodesicOrbit:
     """Closed-geodesic data of a hyperbolic element conjugate to
     diag(a, 1/a) with a > 1: conjugator carries the axis (columns are
-    eigenvector directions), length = 2 ln a and q = 1/ln a.
+    eigenvector directions), length = 2 ln a and ``q`` = 2/length = 1/ln a.
     """
 
     surface: ClassVar[str] = "modular"
     conjugator: GroupElement
     length: float
-    q: float
+
+    @property
+    def q(self) -> float:
+        return 2.0 / self.length
 
     def points(self, theta):
         """Arc-length parametrization t(theta) = conjugator . (i e^{L theta})."""
@@ -227,8 +230,7 @@ def geodesic_orbit_from_matrix(gamma: GroupElement) -> GeodesicOrbit:
     if not (recon.is_close(gamma, 1e-10)
             or recon.is_close(GroupElement(-gamma.mat), 1e-10)):
         raise NotHyperbolicError("diagonalization failed reconstruction check")
-    return GeodesicOrbit(conjugator=conj, length=2.0 * np.log(a),
-                         q=1.0 / np.log(a))
+    return GeodesicOrbit(conjugator=conj, length=2.0 * np.log(a))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ intervals with declared algebraic endpoint/interior singularities, an FFT
 trapezoid rule with doubling for the Fourier coefficients of a smooth
 1-periodic integrand on [0, 1) (the mean is coefficient 0,
 ``periodic_fourier(f, 0)[0][0]``), and a composite oscillatory integrator
-whose node density follows the phase derivative.
+on uniform 32-point Gauss panels, as many as the caller's bound
+``freq_max`` on the phase frequency needs for 8 points per cycle.
 ``modelrep.model_functional`` uses the oscillatory integrator for
 compactly supported vectors and for generic vectors after x = e^u; the
 rotation-invariant vector has its own kernel,

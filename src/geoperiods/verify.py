@@ -23,10 +23,10 @@ from .modelrep import (C1_NORM_SLOPE, SpectralParam, check_regime_envelopes,
                        fit_regime_constants, k_fixed_functional,
                        model_functional, test_vector, vector_norm_sq)
 from .specfun import table_integral
-from .periods import (AVERAGE_BOUND_LIMIT, RestrictionProfile, SphereEquator,
-                      TorusGeodesic, coefficient_family, equator_norms,
-                      extract_coefficients, periods as fourier_periods,
-                      restrict)
+from .periods import (AVERAGE_BOUND_LIMIT, TABLE_GRID, RestrictionProfile,
+                      SphereEquator, TorusGeodesic, coefficient_family,
+                      equator_norms, extract_coefficients,
+                      periods as fourier_periods, restrict)
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_checks", "overrides",
            "acceptance_forms", "ACCEPTANCE_CURVES"]
@@ -296,8 +296,8 @@ def check_plancherel(forms, tol=1e-6):
     if forms is not None:
         phi = eigen.as_eigenfunction(forms[0])
         geo, circ = map(orbit_from_spec, ACCEPTANCE_CURVES)
-        profiles.append(("modular geodesic", restrict(phi, geo, grid=2048)))
-        profiles.append(("modular circle", restrict(phi, circ, grid=2048)))
+        profiles += [("modular geodesic", restrict(phi, geo, grid=TABLE_GRID)),
+                     ("modular circle", restrict(phi, circ, grid=TABLE_GRID))]
     worst = 0.0
     rows = []
     for label, prof in profiles:

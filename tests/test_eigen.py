@@ -571,9 +571,24 @@ def test_table_flip_without_exact_flip_is_rejected(monkeypatch):
             "exact kernel") in str(err.value)
 
 
+@pytest.mark.parametrize("setting, reason", [
+    ("_WINDOW", "candidate R=9.533695 not confirmed at M0+8"),
+    ("_STABILITY_TOL", "candidate R=9.533695 unstable under deeper "
+                       "truncation"),
+], ids=["window", "stability"])
+def test_deeper_truncation_rejections(monkeypatch, setting, reason):
+    # a confirming window too narrow to hold the M0+8 root, or a stability
+    # bound below its move, rejects the one odd candidate of (9, 10)
+    monkeypatch.setattr(eigen, setting, 1e-14)
+    with pytest.raises(NoEigenvalueError) as err:
+        eigen.hejhal_solve((9.0, 10.0), parity="odd")
+    assert f"odd: {reason}" in str(err.value)
+
+
 def test_illinois_refinement_reaches_the_root_width():
     # a flat cubic root, the slow case for regula falsi; bisection from a
-    # width-1 bracket would need 41 steps
+    # width-1 bracket would need 41 steps (the count includes the two end
+    # evaluations)
     root = 0.3 + 1 / 7
     f = lambda r: (r - root) ** 3 + 1e-6 * (r - root)
     calls = []
@@ -583,7 +598,7 @@ def test_illinois_refinement_reaches_the_root_width():
             calls.append(r)
             return (f(r),)
 
-    r = eigen._Locator._refine(Cubic(), 0.0, 1.0, f(0.0), f(1.0))
+    r = eigen._Locator.refine(Cubic(), 0.0, 1.0)
     assert abs(r - root) < eigen._ROOT_WIDTH
     assert len(calls) < np.log2(1.0 / eigen._ROOT_WIDTH)
 
