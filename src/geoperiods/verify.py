@@ -177,7 +177,8 @@ def check_gamma_formula(rel_tol=1e-6, floor=3e-8):
 # --------------------------------------------------------------- check 2
 
 def _table_integral_quadrature(s, t):
-    """Independent oracle: int_R |x|^s (1+x^2)^t dx by adaptive panels."""
+    """Independent oracle: int_R |x|^s (1+x^2)^t dx by the tanh-sinh rule
+    on [0, 1] and, after x = 1/u, on [1, inf)."""
     def f01(x):
         return np.exp(s * np.log(x) + t * np.log1p(x * x))
 

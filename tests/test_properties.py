@@ -1,6 +1,7 @@
 """Property-based checks of the group law, the Mobius action, the
-fundamental-domain reduction and cusp-form evaluation (hypothesis,
-derandomized so reruns agree)."""
+fundamental-domain reduction, cusp-form evaluation and the tanh-sinh
+rule at an endpoint singularity (hypothesis, derandomized so reruns
+agree)."""
 
 import functools
 import glob
@@ -16,6 +17,7 @@ from hypothesis import (assume, example, given, settings,  # noqa: E402
 from geoperiods import eigen  # noqa: E402
 from geoperiods.eigen import pullback  # noqa: E402
 from geoperiods.hypgeom import GroupElement, identity, mobius_act  # noqa: E402
+from geoperiods.quad import integrate_adaptive  # noqa: E402
 from geoperiods.specfun import bessel_k_imag  # noqa: E402
 
 COMMITTED_RECORDS = sorted(glob.glob(os.path.join(
@@ -91,3 +93,13 @@ def test_form_value_matches_the_exact_kernel_series(record, zs):
              * osc(2 * np.pi * np.outer(w.real, n)))
     direct = form.l2_scale * np.sqrt(w.imag) * (terms @ form.coefficients)
     assert np.max(np.abs(form.value(np.array(zs)) - direct)) <= 1e-12 * scale
+
+
+@derandomized
+@given(st.floats(-0.95, 3.0, exclude_min=True, exclude_max=True))
+def test_power_integral_is_exact_within_its_error_estimate(alpha):
+    r = integrate_adaptive(lambda x: x ** alpha, 0.0, 1.0,
+                           singular_exponent_at=(0.0, alpha))
+    err = abs(r.value - 1.0 / (1.0 + alpha))
+    assert err <= 1e-12
+    assert err <= max(r.error_estimate, 1e-14)

@@ -60,6 +60,45 @@ def test_adaptive_budget_error_carries_best():
     assert exc.value.error_estimate > 0
 
 
+def test_adaptive_undeclared_endpoint_singularity():
+    # the tanh-sinh nodes crowd at 0 without a substitution
+    r = integrate_adaptive(lambda x: x ** -0.5, 0.0, 1.0)
+    assert abs(r.value - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_adaptive_declared_split_never_samples_the_point(sign):
+    # sign -1: the point and one end are negative, where np.spacing is < 0
+    point = sign * 0.3
+    seen = []
+
+    def f(x):
+        seen.append(np.array(x))
+        return np.abs(x - point) ** -0.5
+
+    a, b = sorted((0.0, sign))
+    r = integrate_adaptive(f, a, b, singular_exponent_at=(point, -0.5))
+    assert not np.any(np.concatenate(seen) == point)
+    # the nodes stop one ulp of the point short of it: about 3e-8 is lost
+    assert abs(r.value - 2.0 * (np.sqrt(0.3) + np.sqrt(0.7))) < 1e-6
+
+
+def test_adaptive_divergent_integral_raises():
+    # int_0^inf (1+x)^{-1/2} dx diverges: no value may come back
+    with pytest.raises(ConvergenceError):
+        integrate_adaptive(lambda x: (1.0 + x) ** -0.5, 0.0, np.inf)
+
+
+def test_adaptive_halvings_run_out_before_the_budget():
+    def f(x):
+        return 1.0 / (1e-12 + (x - 0.321) ** 2)
+
+    with pytest.raises(ConvergenceError, match="halvings") as exc:
+        integrate_adaptive(f, 0.0, 1.0)
+    assert exc.value.best is not None
+    assert exc.value.error_estimate > 0
+
+
 def test_adaptive_linearity():
     f = lambda x: np.sin(3 * x)
     g = lambda x: np.exp(-x)
