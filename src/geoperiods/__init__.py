@@ -7,9 +7,8 @@ from .hypgeom import (GroupElement, GeodesicOrbit, CircleOrbit, mobius_act,
                       hyperbolic_distance, geodesic_orbit_from_matrix,
                       circle_orbit)
 from .specfun import log_gamma, table_integral, bessel_k_imag
-from .modelrep import (SpectralParam, ModelVector, k_fixed_vector, pi_action,
-                       model_functional, DensityTable, density_b, density_c,
-                       test_vector)
+from .modelrep import (SpectralParam, ModelVector, model_functional,
+                       DensityTable, density_b, density_c, test_vector)
 from .eigen import (Eigenfunction, MaassForm, sphere_harmonic, torus_mode,
                     hejhal_solve, evaluate, as_eigenfunction)
 from .periods import (RestrictionProfile, PeriodTable, restrict,

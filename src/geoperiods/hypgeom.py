@@ -18,9 +18,7 @@ __all__ = [
     "InvalidElementError",
     "NotHyperbolicError",
     "GroupElement",
-    "identity",
     "diagonal",
-    "rotation",
     "translation_to",
     "mobius_act",
     "hyperbolic_distance",
@@ -110,21 +108,11 @@ class GroupElement:
         return f"GroupElement([[{a:.6g}, {b:.6g}], [{c:.6g}, {d:.6g}]])"
 
 
-def identity() -> GroupElement:
-    return GroupElement(np.eye(2))
-
-
 def diagonal(a: float) -> GroupElement:
     """diag(a, 1/a) for a != 0."""
     if a == 0:
         raise InvalidElementError("diagonal entry must be nonzero")
     return GroupElement(np.array([[a, 0.0], [0.0, 1.0 / a]]))
-
-
-def rotation(phi: float) -> GroupElement:
-    """Rotation stabilizing i; phi and phi + pi give the same element."""
-    c, s = np.cos(phi), np.sin(phi)
-    return GroupElement(np.array([[c, -s], [s, c]]))
 
 
 def translation_to(z: complex) -> GroupElement:

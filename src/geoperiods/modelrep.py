@@ -8,7 +8,9 @@ values on the rotation-invariant vector have the Gamma closed form
 
     b(s) = Gamma((1-lam+s)/4) Gamma((1-lam-s)/4) / Gamma((1-lam)/2),
 
-which density_b walks along the character lattice of a closed geodesic.
+which density_b walks along the character lattice of a closed geodesic
+(k_fixed_functional computes it by quadrature; model_functional integrates
+the kernels against compactly supported vectors).
 density_c computes the rotation-type matrix coefficients of a circle by
 periodic quadrature.  test_vector builds the concentrated bump vectors
 whose norms grow linearly while the functional values stay bounded below.
@@ -17,7 +19,7 @@ whose norms grow linearly while the functional values stay bounded below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,8 +32,6 @@ __all__ = [
     "SpectralParam",
     "ModelVector",
     "DegenerateCircleError",
-    "k_fixed_vector",
-    "pi_action",
     "k_fixed_functional",
     "model_functional",
     "DensityTable",
@@ -81,75 +81,25 @@ class SpectralParam:
 
 @dataclass(frozen=True)
 class ModelVector:
-    """A vector in the line realization.
+    """A compactly supported vector in the line realization.
 
-    ``evaluator`` maps a float array to complex values.  ``support`` marks
-    compact support; ``phase_bandwidth`` bounds the evaluator's own
-    oscillation in d/d(ln x) units, which the functional quadrature must
-    resolve.
+    ``evaluator`` maps a float array to complex values; they vanish for
+    |x| outside ``support = (lo, hi)``, 0 < lo < hi.  ``even`` marks
+    v(-x) = v(x).
     """
 
     param: SpectralParam
     evaluator: Callable
+    support: tuple
     even: bool = False
-    support: Optional[tuple] = None
-    k_fixed: bool = False
-    phase_bandwidth: float = 0.0
+
+    def __post_init__(self):
+        if self.support is None or not 0 < self.support[0] < self.support[1]:
+            raise ValueError("ModelVector: support must be (lo, hi) with "
+                             f"0 < lo < hi, got {self.support}")
 
     def __call__(self, x):
         return self.evaluator(np.asarray(x, dtype=float))
-
-
-def k_fixed_vector(param: SpectralParam) -> ModelVector:
-    """The rotation-invariant unit vector (1+x^2)^{(lam-1)/2}.
-
-    Unit in the circle-model norm (1/2pi) int |f|^2 dphi; the normalization
-    constant is exactly 1 because the plane-model function is 1 on the
-    unit circle.
-    """
-    if not param.is_principal:
-        raise DomainError("k_fixed_vector: only principal-series parameters "
-                          f"(Re lam = 0) are supported, got lam={param.lam}")
-    lam = param.lam
-
-    def ev(x):
-        return np.exp(0.5 * (lam - 1.0) * np.log1p(x * x))
-
-    return ModelVector(param=param, evaluator=ev, even=True, k_fixed=True,
-                       phase_bandwidth=abs(lam))
-
-
-def pi_action(param: SpectralParam, g: GroupElement, v: ModelVector) -> ModelVector:
-    """Line-model action: (pi(g)v)(x) = |c'x+d'|^{lam-1} v((a'x+b')/(c'x+d'))
-    with [a' b'; c' d'] = g^{-1} (|det| = 1 representatives)."""
-    if v.param != param:
-        raise ValueError("pi_action: representation parameter mismatch")
-    lam = param.lam
-    gi = g.inv()
-    a, b, c, d = gi.mat.ravel()
-
-    ev_old = v.evaluator
-
-    def ev(x):
-        den = c * x + d
-        num = a * x + b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = num / den
-            out = np.exp((lam - 1.0) * np.log(np.abs(den))) * ev_old(y)
-        return np.where(np.abs(den) < 1e-300, 0.0, out)
-
-    is_diag = abs(g.mat[0, 1]) < 1e-14 and abs(g.mat[1, 0]) < 1e-14
-    support = None
-    if v.support is not None and abs(g.mat[1, 0]) < 1e-14:
-        # support moves forward by the boundary action of g itself
-        ag, bg, _, dg = g.mat.ravel()
-        lo, hi = sorted(((ag * v.support[0] + bg) / dg,
-                         (ag * v.support[1] + bg) / dg))
-        if lo > 0:
-            support = (lo, hi)
-    return ModelVector(param=param, evaluator=ev, even=v.even and is_diag,
-                       support=support, k_fixed=False,
-                       phase_bandwidth=v.phase_bandwidth)
 
 
 # ---------------------------------------------------------------------------
@@ -195,21 +145,17 @@ def k_fixed_functional(param: SpectralParam, step: float, ns) -> np.ndarray:
 def model_functional(param: SpectralParam, s: complex, v: ModelVector):
     """Equivariant functional: int_R |x|^{-1/2-lam/2+s/2} v(x) dx.
 
-    Unitary characters only (Re s = 0).  The rotation-invariant vector
-    goes through ``k_fixed_functional`` as a one-point lattice; every
-    other vector is integrated after x = e^u, with (v(x) + v(-x)) folded
-    onto the half line, over u in log(support) for a compactly supported
-    vector and [-60, 50] otherwise.
+    Unitary characters only (Re s = 0).  After x = e^u, with (v(x) + v(-x))
+    folded onto the half line, one oscillatory quadrature runs over u in
+    log(support) at the kernel's frequency |beta|/(2 pi), beta =
+    (Im s - Im lam)/2.  The rotation-invariant vector, which has no
+    compact support, has its own kernel, ``k_fixed_functional``.
     """
     s = complex(s)
     if abs(s.real) > 1e-12:
         raise DomainError("model_functional: unitary characters only (Re s = 0)")
-    if v.k_fixed:
-        return k_fixed_functional(param, s.imag, [1 if s.imag else 0])[0]
     beta = 0.5 * (s.imag - param.lam.imag)
-    fmax = (abs(beta) + v.phase_bandwidth) / (2 * np.pi)
-    compact = v.support is not None and v.support[0] > 0
-    lo, hi = np.log(v.support) if compact else (-60.0, 50.0)
+    lo, hi = np.log(v.support)
 
     def amp_ph(u):
         x = np.exp(u)
@@ -217,6 +163,7 @@ def model_functional(param: SpectralParam, s: complex, v: ModelVector):
         w = np.exp(0.5 * u) * vals
         return np.abs(w), beta * u + np.angle(w + 0j)
 
+    fmax = abs(beta) / (2 * np.pi)
     return quad.oscillatory_integral(amp_ph, lo, hi, max(fmax, 0.5)).value
 
 
@@ -265,21 +212,20 @@ def _regime_tag(sig, abs_lam):
     return "tail"
 
 
-def density_b(param: SpectralParam, q: float, n_range,
-              lattice_step=None) -> DensityTable:
+def density_b(param: SpectralParam, q: float, n_range) -> DensityTable:
     """Geodesic spectral density along the character lattice.
 
-    The lattice step (imaginary part of s per unit n) defaults to 2 pi q,
-    the spacing that makes the character trivial on the cyclic group
-    generated by diag(a, 1/a) with q = 1/ln a; pass ``lattice_step`` to
-    explore other conventions.  Entries are evaluated through log-gamma so
-    the table stays meaningful deep into the exponential tail.
+    The lattice step (imaginary part of s per unit n, ``meta
+    ["lattice_step"]``) is 2 pi q, the spacing that makes the character
+    trivial on the cyclic group generated by diag(a, 1/a) with q = 1/ln a.
+    Entries are evaluated through log-gamma so the table stays meaningful
+    deep into the exponential tail.
     """
     if not param.is_principal:
         raise DomainError("density_b requires a principal-series parameter")
     if q <= 0:
         raise ValueError("q must be positive")
-    step = 2.0 * np.pi * q if lattice_step is None else float(lattice_step)
+    step = 2.0 * np.pi * q
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     ns = np.arange(n_lo, n_hi + 1)
     lam = param.lam
@@ -295,7 +241,7 @@ def density_b(param: SpectralParam, q: float, n_range,
     return DensityTable(kind="geodesic-b", param=param, n_values=ns,
                         entries=entries, sigma=abs_sig, log_abs2=log_abs2,
                         regime=regime,
-                        meta={"lattice_step": step, "step_over_q": step / q})
+                        meta={"lattice_step": step})
 
 
 def circle_log_jacobian(g: GroupElement):
@@ -404,8 +350,7 @@ def test_vector(T: float, param: SpectralParam) -> ModelVector:
 
     lo = 1.0 - 0.1 / T
     hi = 1.0 + 0.1 / T
-    return ModelVector(param=param, evaluator=ev, even=True, support=(lo, hi),
-                       k_fixed=False, phase_bandwidth=0.0)
+    return ModelVector(param=param, evaluator=ev, support=(lo, hi), even=True)
 
 
 def vector_norm_sq(v: ModelVector) -> float:
@@ -414,9 +359,6 @@ def vector_norm_sq(v: ModelVector) -> float:
     def sq(x):
         return np.abs(v(x)) ** 2
 
-    if v.support is None:
-        res = quad.integrate_adaptive(sq, -np.inf, np.inf)
-        return float(res.value.real / np.pi)
     lo, hi = v.support
     half = quad.integrate_adaptive(sq, lo, hi).value.real
     other = half if v.even else quad.integrate_adaptive(sq, -hi, -lo).value.real

@@ -1,17 +1,15 @@
 """Quadrature engines.
 
-One engine per job: a tanh-sinh (double-exponential) rule on (possibly
-infinite) intervals, which integrates algebraic endpoint singularities
-as they are and splits the interval at a declared interior one, an FFT
+One engine per job: a tanh-sinh (double-exponential) rule on finite
+intervals, which integrates algebraic endpoint singularities as they are
+and splits the interval at a declared interior one, an FFT
 trapezoid rule with doubling for the Fourier coefficients of a smooth
 1-periodic integrand on [0, 1) (the mean is coefficient 0,
 ``periodic_fourier(f, 0)[0][0]``), and a composite oscillatory integrator
 on uniform 32-point Gauss panels, as many as the caller's bound
 ``freq_max`` on the phase frequency needs for 8 points per cycle.
-``modelrep.model_functional`` uses the oscillatory integrator for
-compactly supported vectors and for generic vectors after x = e^u; the
-rotation-invariant vector has its own kernel,
-``modelrep.k_fixed_functional``, a trapezoid sum folded into one FFT.
+``modelrep.model_functional`` runs the oscillatory integrator in u = ln x
+over the support of a compactly supported vector.
 
 Integrands must accept numpy arrays.
 """
@@ -51,7 +49,6 @@ class QuadratureResult:
 _ABS_TOL = 1e-14
 _T_MAX = 6.6            # tanh-sinh nodes t run over [-6.6, 6.6]
 _MAX_HALVINGS = 12
-_FAR = 1e150            # an infinite end's nodes stop where |x| passes this
 
 
 def _level(k):
@@ -63,20 +60,14 @@ def _level(k):
 
 
 def _nodes(lo, hi, e, c):
-    """Nodes and weights of one level on [lo, hi], hi possibly +inf.
+    """Nodes and weights of one level on [lo, hi].
 
     The node pair +-t sits at distance d = e/(1+e) (in units of the
     length) from the ends; the node t = 0 (e = 1) goes to the left end
     alone.  A node whose x would round onto its end is dropped, by the
-    cutoff of that end.  On [lo, inf) the rational map x = lo + u/(1-u)
-    of u in [0, 1) turns the rule into x = lo + exp(+-pi sinh t).
+    cutoff of that end.
     """
     ulp_lo, ulp_hi = abs(np.spacing(lo)), abs(np.spacing(hi))
-    if np.isinf(hi):
-        near = e > ulp_lo
-        far = (e < 1.0) & (e > 1.0 / _FAR)
-        return (np.concatenate([lo + e[near], lo + 1.0 / e[far]]),
-                np.concatenate([c[near] * e[near], c[far] / e[far]]))
     length = hi - lo
     d = e / (1.0 + e)
     w = length * c * d / (1.0 + e)          # du/dt = pi cosh t d (1 - d)
@@ -100,11 +91,13 @@ def integrate_adaptive(f, a, b, singular_exponent_at=None,
 
     ``singular_exponent_at = (point, alpha)`` declares a singularity
     ``|x - point|^alpha``; it checks that alpha > -1 and that the point
-    lies in [a, b], and splits the interval there.  The ends may be
-    ``+-inf`` (mapped rationally; a line with no declared point splits at
-    0).  Returns a QuadratureResult; raises ConvergenceError carrying the
-    best estimate when the evaluation budget or the halvings run out.
+    lies in [a, b], and splits the interval there.  The ends must be
+    finite.  Returns a QuadratureResult; raises ConvergenceError carrying
+    the best estimate when the evaluation budget or the halvings run out,
+    or when the sum is not finite.
     """
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError(f"integrate_adaptive: a non-finite end in [{a}, {b}]")
     edges = [a, b]
     if singular_exponent_at is not None:
         point, alpha = singular_exponent_at
@@ -113,17 +106,12 @@ def integrate_adaptive(f, a, b, singular_exponent_at=None,
         if not (a <= point <= b):
             raise ValueError("declared singularity lies outside the interval")
         edges = [a, point, b]
-    elif np.isinf(a) and np.isinf(b):
-        edges = [a, 0.0, b]
     total = 0.0 + 0.0j
     err = 0.0
     neval = 0
     for lo, hi in zip(edges, edges[1:]):
         if lo == hi:
             continue
-        g = f
-        if np.isinf(lo):            # (-inf, hi] is the mirror of [-hi, inf)
-            g, lo, hi = (lambda y: f(-y)), -hi, np.inf
         s, change = 0.0, np.inf
         for k in range(_MAX_HALVINGS + 1):
             x, w = _nodes(lo, hi, *_level(k))
@@ -132,11 +120,13 @@ def integrate_adaptive(f, a, b, singular_exponent_at=None,
                     f"integrate_adaptive: budget {budget} exhausted "
                     f"(error estimate {change:.2e})",
                     best=total + s, error_estimate=change)
-            part = np.sum(w * np.asarray(g(x), dtype=complex))
+            part = np.sum(w * np.asarray(f(x), dtype=complex))
             neval += x.size
             change = abs(part - 0.5 * s)        # level k less level k - 1
             s = 0.5 * s + part
-            if k and change <= max(_ABS_TOL, rel_tol * abs(s)):
+            # an infinite sum would pass the relative test: it never agrees
+            if (k and np.isfinite(s)
+                    and change <= max(_ABS_TOL, rel_tol * abs(s))):
                 break
         else:
             raise ConvergenceError(

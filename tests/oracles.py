@@ -7,6 +7,11 @@ by locating stationary points of the phase, ``conical_legendre``
 cross-checks the circle densities against the radial Legendre factor, and
 ``fd_edge_constant`` measures the circle edge constant that the package
 takes in closed form.
+``k_fixed_vector`` (the rotation-invariant vector of the line model),
+``pi_action`` (the group's action on line-model functions) and
+``rotation`` (the rotations fixing i) state the equivariance that
+``modelrep.model_functional`` and ``modelrep.k_fixed_functional`` are
+tested for.
 ``index_symmetric`` and ``summary_lines`` read tables and reports the
 package returns.
 """
@@ -18,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from geoperiods.hypgeom import GroupElement
 from geoperiods.modelrep import circle_log_jacobian
 from geoperiods.specfun import DomainError
 
@@ -174,6 +180,45 @@ def fd_edge_constant(g, grid=65536):
     lw = np.log(circle_log_jacobian(g)(np.arange(grid) / grid))
     d = (np.roll(lw, -1) - np.roll(lw, 1)) * (grid / 2.0)
     return 0.5 * float(np.max(np.abs(d)))
+
+
+# ------------------------------------------------------------- line model
+
+
+def rotation(phi):
+    """The rotation fixing i; phi and phi + pi give the same element."""
+    c, s = np.cos(phi), np.sin(phi)
+    return GroupElement([[c, -s], [s, c]])
+
+
+def k_fixed_vector(param):
+    """The rotation-invariant vector x -> (1+x^2)^{(lam-1)/2}, a callable.
+
+    Unit in the circle-model norm (1/2pi) int |f|^2 dphi: the plane-model
+    function is 1 on the unit circle.
+    """
+    if not param.is_principal:
+        raise DomainError("k_fixed_vector: only principal-series parameters "
+                          f"(Re lam = 0) are supported, got lam={param.lam}")
+    lam = param.lam
+    return lambda x: np.exp(0.5 * (lam - 1.0) * np.log1p(np.square(x)))
+
+
+def pi_action(param, g, v):
+    """Line-model action on a callable v: (pi(g)v)(x) =
+    |c'x+d'|^{lam-1} v((a'x+b')/(c'x+d')) with [a' b'; c' d'] = g^{-1}
+    (|det| = 1 representatives); 0 where c'x+d' vanishes."""
+    a, b, c, d = g.inv().mat.ravel()
+
+    def moved(x):
+        x = np.asarray(x, dtype=float)
+        den = c * x + d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = (a * x + b) / den
+            out = np.exp((param.lam - 1.0) * np.log(np.abs(den))) * v(y)
+        return np.where(np.abs(den) < 1e-300, 0.0, out)
+
+    return moved
 
 
 # ------------------------------------------------------ tables and reports

@@ -3,14 +3,13 @@ import csv
 import numpy as np
 import pytest
 
-from geoperiods.hypgeom import (GroupElement, diagonal, orbit_from_spec,
-                                rotation)
+from geoperiods.hypgeom import GroupElement, diagonal, orbit_from_spec
 from geoperiods.modelrep import (BUMP_SQ_INTEGRAL, C1_NORM_SLOPE,
-                                 DegenerateCircleError, SpectralParam, bump,
-                                 check_regime_envelopes, circle_edge_constant,
-                                 density_b, density_c, density_to_csv,
-                                 fit_regime_constants, k_fixed_functional,
-                                 k_fixed_vector, model_functional, pi_action,
+                                 DegenerateCircleError, ModelVector,
+                                 SpectralParam, bump, check_regime_envelopes,
+                                 circle_edge_constant, density_b, density_c,
+                                 density_to_csv, fit_regime_constants,
+                                 k_fixed_functional, model_functional,
                                  vector_norm_sq)
 from geoperiods.modelrep import test_vector as make_test_vector
 from geoperiods import quad, verify
@@ -18,7 +17,7 @@ from geoperiods.quad import integrate_adaptive
 from geoperiods.specfun import DomainError, log_gamma
 
 from oracles import (analyze_phase, conical_legendre, fd_edge_constant,
-                     index_symmetric)
+                     index_symmetric, k_fixed_vector, pi_action, rotation)
 
 RNG = np.random.default_rng(11)
 
@@ -27,6 +26,14 @@ def closed_b(lam, s):
     return complex(np.exp(log_gamma((1 - lam + s) / 4)
                           + log_gamma((1 - lam - s) / 4)
                           - log_gamma((1 - lam) / 2)))
+
+
+def dilated(v, a):
+    """pi(diag(a, 1/a)) v as a ModelVector: the support scales by a^2."""
+    lo, hi = v.support
+    return ModelVector(param=v.param,
+                       evaluator=pi_action(v.param, diagonal(a), v),
+                       support=(a * a * lo, a * a * hi), even=v.even)
 
 
 # --------------------------------------------------------- spectral param
@@ -48,7 +55,10 @@ def test_k_fixed_vector_even_and_unit():
     e0 = k_fixed_vector(par)
     x = RNG.uniform(-8, 8, 64)
     assert np.max(np.abs(e0(x) - e0(-x))) < 1e-12
-    assert abs(vector_norm_sq(e0) - 1.0) < 1e-9
+    # (1/pi) int_R |e0|^2 dx, after x = tan(theta)
+    r = integrate_adaptive(lambda th: np.abs(e0(np.tan(th))) ** 2
+                           / np.cos(th) ** 2, -np.pi / 2, np.pi / 2)
+    assert abs(r.value / np.pi - 1.0) < 1e-9
 
 
 def test_k_fixed_vector_magnitude():
@@ -108,18 +118,17 @@ def test_pi_action_composition():
 def test_functional_on_k_vector_closed_form():
     # s = 0 value: Gamma((1-lam)/4)^2 / Gamma((1-lam)/2)
     for lam in (2j, 10j, 40j):
-        par = SpectralParam(lam=lam)
-        d = model_functional(par, 0.0, k_fixed_vector(par))
+        d = k_fixed_functional(SpectralParam(lam=lam), 0.0, [0])[0]
         assert abs(d - closed_b(lam, 0.0)) < 1e-10 * abs(closed_b(lam, 0.0))
 
 
 def test_functional_kills_odd_part():
     par = SpectralParam(lam=5j)
-    odd = lambda x: x * bump(x)
-    v = make_test_vector(1.0, par)          # reuse the container, swap evaluator
-    odd_vec = type(v)(param=par,
-                      evaluator=lambda x: x * bump(np.asarray(x)) + 0.0j,
-                      even=False, support=None, k_fixed=False)
+
+    def odd(x):
+        return np.sign(x) * bump(np.abs(x) - 1.0) + 0.0j
+
+    odd_vec = ModelVector(param=par, evaluator=odd, support=(0.9, 1.1))
     d = model_functional(par, 2j, odd_vec)
     assert abs(d) < 1e-10
 
@@ -127,8 +136,7 @@ def test_functional_kills_odd_part():
 def test_functional_matches_table_oracle():
     # s = 2i, lam = 5i on the rotation-invariant vector
     lam, s = 5j, 2j
-    par = SpectralParam(lam=lam)
-    d = model_functional(par, s, k_fixed_vector(par))
+    d = k_fixed_functional(SpectralParam(lam=lam), s.imag, [1])[0]
     ref = closed_b(lam, s)
     assert abs(d - ref) < 1e-9 * abs(ref)
 
@@ -140,8 +148,7 @@ def test_functional_diagonal_equivariance():
     for s in (0.0, 3j, -5j):
         base = model_functional(par, s, vt)
         for a in (2.0, 0.5, 3.7):
-            moved = pi_action(par, diagonal(a), vt)
-            lhs = model_functional(par, s, moved)
+            lhs = model_functional(par, s, dilated(vt, a))
             chi = np.exp(complex(s) * np.log(abs(a)))
             assert abs(lhs - chi * base) < 1e-7 * abs(base)
 
@@ -156,14 +163,14 @@ def test_functional_lattice_trivial_on_generator():
     for n in (1, 3):
         s = 2j * np.pi * q * n
         base = model_functional(par, s, vt)
-        moved = model_functional(par, s, pi_action(par, diagonal(a), vt))
+        moved = model_functional(par, s, dilated(vt, a))
         assert abs(moved - base) < 1e-7 * abs(base)
 
 
 def test_functional_rejects_nonunitary():
     par = SpectralParam(lam=5j)
     with pytest.raises(DomainError):
-        model_functional(par, 0.5, k_fixed_vector(par))
+        model_functional(par, 0.5, make_test_vector(1.0, par))
 
 
 # ------------------------------------------------------ k-fixed functional
@@ -208,14 +215,6 @@ def test_k_fixed_functional_one_point_matches_lattice():
         assert abs(one - full[n]) <= 1e-14
 
 
-def test_model_functional_on_k_vector_is_the_kernel():
-    par = SpectralParam(lam=12j)
-    for sigma in (0.0, 2.5, -37.3):
-        d = model_functional(par, 1j * sigma, k_fixed_vector(par))
-        n = 1 if sigma else 0
-        assert d == k_fixed_functional(par, sigma, [n])[0]
-
-
 def test_gamma_check_needs_no_oscillatory_panels(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("criterion 01 left the batch kernel")
@@ -228,18 +227,18 @@ def test_gamma_check_needs_no_oscillatory_panels(monkeypatch):
 # ---------------------------------------------------------------- density b
 
 def test_density_b_central_identity():
-    """Gamma closed form vs singular quadrature of the functional (the
-    full grid runs in the acceptance suite)."""
+    """Gamma closed form vs the quadrature of the functional on the
+    rotation-invariant vector (the full grid runs in the acceptance
+    suite)."""
     for lam_abs in (10.0, 80.0):
         par = SpectralParam(lam=1j * lam_abs)
-        e0 = k_fixed_vector(par)
         table = density_b(par, 1.0 / np.log(2.0), (-30, 30))
         step = table.meta["lattice_step"]
         for n in range(0, 31, 3):
             closed = table.entry(n)
             if abs(closed) < 3e-8:
                 continue
-            d = model_functional(par, 1j * step * n, e0)
+            d = k_fixed_functional(par, step, [n])[0]
             assert abs(closed - d) < 1e-6 * abs(closed), (lam_abs, n)
 
 
@@ -250,15 +249,13 @@ def test_density_b_symmetry_and_regimes():
     assert table.regime[50] == "bulk"            # n = 0
     tail_n = int(np.ceil(1.2 * 20.0 / (2 * np.pi * 0.5)))
     assert table.regime[50 + tail_n] == "tail"
-    assert table.meta["step_over_q"] == pytest.approx(2 * np.pi)
 
 
 def test_density_b_default_lattice_override():
     par = SpectralParam(lam=20j)
-    t1 = density_b(par, 0.5, (0, 5))
-    t2 = density_b(par, 0.5, (0, 5), lattice_step=0.5)
-    assert t1.meta["lattice_step"] == pytest.approx(np.pi)
-    assert abs(t2.entry(3) - closed_b(20j, 1.5j)) < 1e-12
+    table = density_b(par, 0.5, (0, 5))
+    assert table.meta["lattice_step"] == pytest.approx(np.pi)
+    assert abs(table.entry(3) - closed_b(20j, 3j * np.pi)) < 1e-12
 
 
 def test_density_b_envelopes_fit_and_check():
@@ -417,6 +414,14 @@ def test_test_vector_functional_lower_bound():
 def test_test_vector_requires_t_geq_one():
     with pytest.raises(ValueError):
         make_test_vector(0.5, SpectralParam(lam=1j))
+
+
+@pytest.mark.parametrize("support", [None, (0.0, 1.0), (-0.5, 1.0),
+                                     (1.0, 1.0), (1.1, 0.9)])
+def test_model_vector_requires_compact_support(support):
+    with pytest.raises(ValueError, match="0 < lo < hi"):
+        ModelVector(param=SpectralParam(lam=1j), evaluator=bump,
+                    support=support)
 
 
 # ------------------------------------------------------------------- csv
