@@ -6,12 +6,13 @@ produced by an automorphy-collocation solver: a truncated Fourier-Bessel
 expansion is sampled on a low horocycle, pulled back into the fundamental
 domain, and the implied linear system is closed by regularized least
 squares.  Eigenvalues are zeros of a two-height coefficient mismatch.
-One routine refines an interval by Illinois regula falsi when the exact
-indicator has opposite signs at its ends: each sign change of the grid
-scan of the bracket, and the window that confirms a candidate at deeper
-truncation.  The scan reads K_iR from a Chebyshev table in R per
-collocation (its arguments are fixed, only R varies), so a sign change
-the exact kernel does not show at the ends is rejected.
+The grid scan of a bracket reads K_iR from a Chebyshev table in R per
+collocation (its arguments are fixed, only R varies), and each of its
+sign changes is refined on that table.  The exact kernel screens the
+table's root with one call (residual and two-height agreement, which
+bounds the exact mismatch there) and confirms a candidate by a sign
+change in the window around it at deeper truncation, refined exactly.
+One Illinois regula falsi routine serves both refinements.
 ``NoEigenvalueError`` gives every rejected candidate's reason; the
 ``geoperiods.eigen`` logger traces the scans, sign changes, refinements
 and rejections at DEBUG.
@@ -339,21 +340,28 @@ class _Collocation:
         arguments and at the horocycle arguments."""
         return bessel_k_imag(R, self.u_pull), bessel_k_imag(R, self.u_y)
 
-    def table(self, rs):
-        """The kernel pair at every R of the grid ``rs``, interpolated from
-        ``_CHEB_NODES`` exact samples at Chebyshev points of
-        [rs[0], rs[-1]] (the arguments are fixed, only R varies), and the
-        table's tail (see ``_cheb_fit``), worst over the arguments."""
-        lo, hi = rs[0], rs[-1]
+    def table(self, lo, hi):
+        """The kernel pair as a function of R in [lo, hi], interpolated
+        from ``_CHEB_NODES`` exact samples at Chebyshev points of [lo, hi]
+        (the arguments are fixed, only R varies), and the table's tail (see
+        ``_cheb_fit``), worst over the arguments.  The function keeps the
+        Chebyshev coefficients and maps an array of R to one pair per R."""
         t = _cheb_nodes(_CHEB_NODES)
         u = np.concatenate([self.u_pull.ravel(), self.u_y])
         samples = np.array([bessel_k_imag(r, u)
                             for r in 0.5 * (hi + lo) + 0.5 * (hi - lo) * t])
         coeffs, tail = _cheb_fit(t, samples)
-        values = np.polynomial.chebyshev.chebvander(
-            (2.0 * rs - (hi + lo)) / (hi - lo), _CHEB_NODES - 1) @ coeffs
         n = self.u_pull.size
-        return [(v[:n].reshape(self.u_pull.shape), v[n:]) for v in values], tail
+
+        def pairs(rs):
+            # T_k(cos theta) = cos(k theta): a quarter of chebvander's time
+            # for one R, which each step of a table refinement reads; the
+            # clip keeps a grid end that rounds past +-1 in arccos's domain
+            theta = np.arccos(np.clip(
+                (2.0 * np.asarray(rs) - (hi + lo)) / (hi - lo), -1.0, 1.0))
+            values = np.cos(np.outer(theta, np.arange(_CHEB_NODES))) @ coeffs
+            return [(v[:n].reshape(self.u_pull.shape), v[n:]) for v in values]
+        return pairs, tail
 
     def solve(self, R, kernels=None):
         """Least-squares coefficients (a_1 = 1) at R and their residual,
@@ -376,8 +384,8 @@ class _Locator:
     """Sign of the a_2 mismatch between two collocation heights.
 
     ``tables`` holds the scan tables of ``_table_scan`` by horocycle
-    arguments and grid; the kernel arguments do not depend on parity, so
-    ``hejhal_solve`` hands the locators of both parities one dict."""
+    arguments and bracket; the kernel arguments do not depend on parity,
+    so ``hejhal_solve`` hands the locators of both parities one dict."""
 
     def __init__(self, M0, parity, y1, y2, tables=None):
         self.coll1 = _Collocation(y1, M0 + 12, M0, parity)
@@ -385,42 +393,53 @@ class _Locator:
         self.tables = {} if tables is None else tables
 
     def indicator(self, R, kernels=(None, None)):
+        """The a_2 mismatch at R, the two-height agreement of a_1..a_8 and
+        the worse residual, from the given kernel pairs or else exact."""
         c1, r1 = self.coll1.solve(R, kernels[0])
         c2, r2 = self.coll2.solve(R, kernels[1])
-        return float(c1[1] - c2[1]), c1, c2, max(r1, r2)
+        return (float(c1[1] - c2[1]), float(np.max(np.abs(c1[:8] - c2[:8]))),
+                max(r1, r2))
 
     def _table_scan(self, rs):
-        """The indicator over the grid ``rs`` from Chebyshev tables, built
-        unless ``tables`` has them."""
+        """The indicator's values over the grid ``rs`` and the indicator
+        itself at any R in [rs[0], rs[-1]], both from Chebyshev tables,
+        built unless ``tables`` has them."""
         pairs, built = [], 0
         for coll in (self.coll1, self.coll2):
-            key = (coll.u_y.tobytes(), rs.tobytes())
+            key = (coll.u_y.tobytes(), rs[0], rs[-1])
             if key not in self.tables:
-                self.tables[key] = coll.table(rs)
+                self.tables[key] = coll.table(rs[0], rs[-1])
                 built += 1
             pairs.append(self.tables[key])
         (k1, tail1), (k2, tail2) = pairs
         _log.debug("scan of %d points over [%.6f, %.6f] from %d-node "
                    "tables (%d built), Chebyshev tail %.1e", len(rs), rs[0],
                    rs[-1], _CHEB_NODES, built, max(tail1, tail2))
-        return np.array([self.indicator(r, pair)[0]
-                         for r, pair in zip(rs, zip(k1, k2))])
+        gs = [self.indicator(r, pair)[0]
+              for r, pair in zip(rs, zip(k1(rs), k2(rs)))]
+        return gs, lambda r: self.indicator(r, (k1([r])[0], k2([r])[0]))
 
-    def refine(self, a, b):
-        """The zero of the exact indicator in [a, b] by Illinois regula
+    @staticmethod
+    def refine(indicator, a, b, ends=None):
+        """The zero in [a, b] of ``indicator(R)[0]`` by Illinois regula
         falsi (Dowell-Jarratt 1971) down to ``_ROOT_WIDTH``, or None when
-        the signs at a and b do not differ.  A step bisects when the last
-        three did not halve the bracket: at most 4x bisection's steps."""
-        ga, gb = self.indicator(a)[0], self.indicator(b)[0]
+        the signs at a and b do not differ, and the number of indicator
+        calls made.  ``ends`` are the values at a and b when the caller has
+        them.  A step bisects when the last three did not halve the
+        bracket: at most 4x bisection's steps."""
+        calls = 0
+        if ends is None:
+            ends, calls = (indicator(a)[0], indicator(b)[0]), 2
+        ga, gb = ends
         if not ga * gb < 0:
-            return None
-        calls, side, widths = 2, 0, [np.inf] * 3
+            return None, calls
+        side, widths = 0, [np.inf] * 3
         while b - a > _ROOT_WIDTH:
             c = (a * gb - b * ga) / (gb - ga)
             if not a < c < b or b - a > 0.5 * widths[-3]:
                 c = 0.5 * (a + b)
             widths.append(b - a)
-            gc = self.indicator(c)[0]
+            gc = indicator(c)[0]
             calls += 1
             if gc == 0.0:
                 a = b = c
@@ -430,22 +449,27 @@ class _Locator:
             else:
                 b, gb = c, gc
                 ga, side = (0.5 * ga if side > 0 else ga), 1
-        _log.debug("refined to R=%.12f in %d exact indicator calls "
-                   "(%d kernel calls)", 0.5 * (a + b), calls, 4 * calls)
-        return 0.5 * (a + b)
+        return 0.5 * (a + b), calls
 
     def roots(self, rs):
-        """(a, b, R) for each sign change [a, b] of the indicator over the
-        grid ``rs``, in grid order, with R = ``refine(a, b)`` computed when
-        it is reached (None where the exact kernel shows no sign change at
-        the ends).  A grid with more points than a table has nodes is
-        scanned from Chebyshev tables."""
-        gs = (self._table_scan(rs) if len(rs) > _CHEB_NODES
-              else np.array([self.indicator(r)[0] for r in rs]))
+        """(a, b, R, screen) for each sign change [a, b] of the indicator
+        over the grid ``rs``, in grid order, computed when it is reached:
+        R is refined from the scan's values at a and b on the indicator
+        the grid was scanned with (Chebyshev tables when it has more points
+        than a table has nodes, else exact), and ``screen`` is the exact
+        ``indicator(R)``, a tabled scan's one exact call per sign change."""
+        kind = "table" if len(rs) > _CHEB_NODES else "exact"
+        gs, indicator = (self._table_scan(rs) if kind == "table" else
+                         ([self.indicator(r)[0] for r in rs], self.indicator))
         for i in np.where(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]:
             a, b = rs[i], rs[i + 1]
             _log.debug("sign flip in [%.6f, %.6f]", a, b)
-            yield a, b, self.refine(a, b)
+            r, calls = self.refine(indicator, a, b, (gs[i], gs[i + 1]))
+            screen = self.indicator(r)
+            _log.debug("%s refinement to R=%.12f in %d %s indicator calls; "
+                       "exact screen: indicator %.1e, height agreement "
+                       "%.2e, residual %.2e", kind, r, calls, kind, *screen)
+            yield a, b, r, screen
 
 
 # locator scan step, half width of the confirming window, Chebyshev nodes
@@ -489,11 +513,14 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
     """Locate one cusp eigenvalue in ``r_bracket`` and return the form.
 
     parity "even"/"odd" selects the cosine/sine expansion; "auto" tries
-    even, then odd.  The returned R is confirmed by an independent
-    relocation at truncation M0+8, refined from the ends of the window
-    R +- ``_WINDOW`` (its move is recorded in ``r_stability``);
+    even, then odd.  Each sign change of the scan is refined on the
+    scan's table and screened by the exact indicator at that root:
     candidates whose full-system residual or two-height coefficient
-    agreement fail the tolerances are rejected.  If nothing survives,
+    agreement fail the tolerances are rejected, a sign change the exact
+    kernel does not show among them.  The returned R is confirmed by an
+    independent relocation at truncation M0+8, refined from the ends of
+    the window R +- ``_WINDOW`` (its move is recorded in
+    ``r_stability``).  If nothing survives,
     NoEigenvalueError carries the reason of every parity and candidate.
     """
     check_solve([r_bracket], parity, M0, y0)
@@ -510,25 +537,29 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
         locator = _Locator(M0, par, y1=y0, y2=max(0.28, y0 - 0.05),
                            tables=tables)
         n_reasons = len(reasons)
-        for a, b, r_loc in locator.roots(np.arange(lo, hi + _SCAN_STEP / 2,
-                                                   _SCAN_STEP)):
-            if r_loc is None:
+        for a, b, r_loc, (g, agree, resid) in locator.roots(
+                np.arange(lo, hi + _SCAN_STEP / 2, _SCAN_STEP)):
+            # the agreement bounds |g|: a flip the exact kernel shows has
+            # |g| near rounding at R, one it does not show fails here
+            if abs(g) > _AGREEMENT_TOL:
                 reject(f"{par}: sign flip in [{a:.6f}, {b:.6f}] not "
-                       f"confirmed by the exact kernel")
+                       f"confirmed by the exact kernel (indicator {g:.2e} "
+                       f"at R={r_loc:.6f})")
                 continue
             cand = f"{par}: candidate R={r_loc:.6f}"
-            _, c1, c2, resid = locator.indicator(r_loc)
-            agree = float(np.max(np.abs(c1[:min(8, M0)] - c2[:min(8, M0)])))
             if resid > _RESIDUAL_TOL or agree > _AGREEMENT_TOL:
                 reject(f"{cand} rejected: residual={resid:.2e}, "
                        f"height agreement={agree:.2e}")
                 continue
             # confirm at deeper truncation
             deep = _Locator(M0 + 8, par, y1=min(y0, 0.35), y2=0.28)
-            r_deep = deep.refine(r_loc - _WINDOW, r_loc + _WINDOW)
+            r_deep, calls = deep.refine(deep.indicator, r_loc - _WINDOW,
+                                        r_loc + _WINDOW)
             if r_deep is None:
                 reject(f"{cand} not confirmed at M0+8")
                 continue
+            _log.debug("refined at M0+8 to R=%.12f in %d exact indicator "
+                       "calls (%d kernel calls)", r_deep, calls, 4 * calls)
             if abs(r_deep - r_loc) > _STABILITY_TOL:
                 reject(f"{cand} unstable under deeper truncation "
                        f"(moved {abs(r_deep - r_loc):.2e})")

@@ -122,11 +122,15 @@ def integrate_adaptive(f, a, b, singular_exponent_at=None,
                     best=total + s, error_estimate=change)
             part = np.sum(w * np.asarray(f(x), dtype=complex))
             neval += x.size
+            if not np.isfinite(part):
+                raise ConvergenceError(
+                    f"integrate_adaptive: the sum is not finite at level {k} "
+                    f"after {neval} evaluations (error estimate {change:.2e} "
+                    f"at the level before)", best=total + s,
+                    error_estimate=change)
             change = abs(part - 0.5 * s)        # level k less level k - 1
             s = 0.5 * s + part
-            # an infinite sum would pass the relative test: it never agrees
-            if (k and np.isfinite(s)
-                    and change <= max(_ABS_TOL, rel_tol * abs(s))):
+            if k and change <= max(_ABS_TOL, rel_tol * abs(s)):
                 break
         else:
             raise ConvergenceError(

@@ -221,7 +221,8 @@ def test_collocation_table_matches_vandermonde_fit():
     # fit and evaluation written out in full
     coll = eigen._Collocation(0.40, 26, 14, "even")
     rs = np.arange(13.5, 14.2 + 0.005, 0.01)
-    pairs, tail = coll.table(rs)
+    table, tail = coll.table(rs[0], rs[-1])
+    pairs = table(rs)
     nodes = eigen._CHEB_NODES
     t = np.cos(np.pi * (np.arange(nodes) + 0.5) / nodes)
     u = np.concatenate([coll.u_pull.ravel(), coll.u_y])
@@ -495,6 +496,7 @@ def test_cold_solve_matches_committed_record(caplog):
                if k <= 10) < 1e-6
     trace = "\n".join(r.getMessage() for r in caplog.records)
     for step in ("scan of 71 points", "Chebyshev tail", "sign flip in",
+                 "table indicator calls; exact screen",
                  "exact indicator calls", "rejected: even: candidate"):
         assert step in trace
     assert {r.levelno for r in caplog.records} == {logging.DEBUG}
@@ -505,8 +507,8 @@ def test_parities_share_one_pair_of_scan_tables(monkeypatch, caplog):
     # scan reuses its tables: one table per collocation height, not two
     built = []
     table = eigen._Collocation.table
-    monkeypatch.setattr(eigen._Collocation, "table",
-                        lambda self, rs: built.append(self) or table(self, rs))
+    monkeypatch.setattr(eigen._Collocation, "table", lambda self, lo, hi:
+                        built.append(self) or table(self, lo, hi))
     with caplog.at_level(logging.DEBUG, logger="geoperiods.eigen"):
         form = eigen.hejhal_solve((9.0, 10.0), parity="auto")
     assert len(built) == 2
@@ -561,14 +563,57 @@ def test_criterion_06_requires_the_hecke_relations(monkeypatch):
 
 
 def test_table_flip_without_exact_flip_is_rejected(monkeypatch):
-    # a scan table that (wrongly) changes sign between 5.09 and 5.10: the
-    # exact kernel at the two ends does not, so no candidate is refined
-    monkeypatch.setattr(eigen._Locator, "_table_scan",
-                        lambda self, rs: np.where(rs < 5.095, 1.0, -1.0))
+    # a scan table that (wrongly) changes sign at 5.095: the exact
+    # indicator at the table root is far from zero, so it is no candidate
+    monkeypatch.setattr(eigen._Locator, "_table_scan", lambda self, rs:
+                        (list(5.095 - rs), lambda r: (5.095 - r,)))
     with pytest.raises(NoEigenvalueError) as err:
         eigen.hejhal_solve((5.0, 5.5), parity="even")
     assert ("even: sign flip in [5.090000, 5.100000] not confirmed by the "
             "exact kernel") in str(err.value)
+
+
+def _count_exact_indicator_calls(monkeypatch):
+    # (locator, R) of every exact indicator call
+    calls = []
+    indicator = eigen._Locator.indicator
+
+    def counted(self, R, kernels=(None, None)):
+        if kernels[0] is None:
+            calls.append((id(self), R))
+        return indicator(self, R, kernels)
+
+    monkeypatch.setattr(eigen._Locator, "indicator", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bracket", [(9.0, 10.0), (12.0, 12.7), (13.5, 14.2)])
+def test_table_roots_match_exact_roots(monkeypatch, bracket):
+    # each sign flip of an acceptance bracket's tabled scan, either parity:
+    # one exact indicator call, at the table root, which is the exact
+    # Illinois root to 1e-11
+    calls = _count_exact_indicator_calls(monkeypatch)
+    tables, flips = {}, 0
+    for parity in ("even", "odd"):
+        loc = eigen._Locator(14, parity, 0.40, 0.35, tables=tables)
+        rs = np.arange(bracket[0], bracket[1] + 0.005, 0.01)
+        for a, b, r, screen in loc.roots(rs):
+            flips += 1
+            assert calls == [(id(loc), r)]
+            assert screen == loc.indicator(r)
+            r_exact, _ = loc.refine(loc.indicator, a, b)
+            assert abs(r - r_exact) < 1e-11
+            calls.clear()
+    assert flips >= 1
+
+
+def test_narrow_bracket_evaluates_no_exact_point_twice(monkeypatch):
+    # a bracket of at most 24 grid points is scanned exactly; the refinement
+    # of its sign change starts from the scan's end values
+    calls = _count_exact_indicator_calls(monkeypatch)
+    form = eigen.hejhal_solve((9.45, 9.62), parity="odd")
+    assert abs(form.R - 9.533695261345919) < 1e-9
+    assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("setting, reason", [
@@ -592,15 +637,15 @@ def test_illinois_refinement_reaches_the_root_width():
     root = 0.3 + 1 / 7
     f = lambda r: (r - root) ** 3 + 1e-6 * (r - root)
     calls = []
-
-    class Cubic:
-        def indicator(self, r):
-            calls.append(r)
-            return (f(r),)
-
-    r = eigen._Locator.refine(Cubic(), 0.0, 1.0)
+    r, n = eigen._Locator.refine(lambda r: calls.append(r) or (f(r),),
+                                 0.0, 1.0)
     assert abs(r - root) < eigen._ROOT_WIDTH
-    assert len(calls) < np.log2(1.0 / eigen._ROOT_WIDTH)
+    assert n == len(calls) < np.log2(1.0 / eigen._ROOT_WIDTH)
+    # given end values, it evaluates neither end
+    calls.clear()
+    assert eigen._Locator.refine(lambda r: calls.append(r) or (f(r),),
+                                 0.0, 1.0, (f(0.0), f(1.0))) == (r, n - 2)
+    assert 0.0 not in calls and 1.0 not in calls
 
 
 def test_solver_input_validation():
