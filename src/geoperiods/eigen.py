@@ -114,12 +114,14 @@ class Eigenfunction:
 
 
 def _norm_legendre(n, m, costh):
-    """N_n^m P_n^m(cos theta) with N_n^m = sqrt((2n+1)/(4pi) (n-m)!/(n+m)!)."""
+    """N_n^m P_n^m(cos theta), N_n^m = sqrt((2n+1)/(4pi) (n-m)!/(n+m)!), from
+    the closed form N_m^m P_m^m = C_m sin^m theta with the scalar C_m =
+    prod_{k=1..m} -sqrt((2k+1)/(2k)) / sqrt(4pi); recurs only for n > m."""
     costh = np.asarray(costh, dtype=float)
     sinth = np.sqrt(np.maximum(0.0, 1.0 - costh * costh))
-    q_mm = np.full(costh.shape, 1.0 / np.sqrt(4.0 * np.pi))
-    for k in range(1, m + 1):
-        q_mm = -np.sqrt((2.0 * k + 1.0) / (2.0 * k)) * sinth * q_mm
+    c_m = math.prod(-math.sqrt((2.0 * k + 1.0) / (2.0 * k))
+                    for k in range(1, m + 1)) / math.sqrt(4.0 * math.pi)
+    q_mm = c_m * sinth ** m
     if n == m:
         return q_mm
     q_prev = q_mm

@@ -12,6 +12,8 @@ takes in closed form.
 ``rotation`` (the rotations fixing i) state the equivariance that
 ``modelrep.model_functional`` and ``modelrep.k_fixed_functional`` are
 tested for.
+``planted_stream`` draws and synthesizes criterion 07's plants one index
+at a time, the reference for ``verify.planted_basis``.
 ``index_symmetric`` and ``summary_lines`` read tables and reports the
 package returns.
 """
@@ -219,6 +221,29 @@ def pi_action(param, g, v):
         return np.where(np.abs(den) < 1e-300, 0.0, out)
 
     return moved
+
+
+# --------------------------------------------------------- planted plants
+
+
+def planted_stream(rng, dens, n_plants, grid=1024):
+    """Criterion 07's plants drawn with four scalar ``rng.uniform`` calls
+    per index and summed index by index: per plant ({n: a_n}, samples of
+    sum_n a_n d_n e^{2 pi i n k / grid})."""
+    usable = [int(n) for n in dens.n_values
+              if abs(dens.entry(int(n))) >= 1e-4 * dens.max_abs()]
+    theta = np.arange(grid) / grid
+    plants = []
+    for _ in range(n_plants):
+        planted = {}
+        samples = np.zeros(grid, dtype=complex)
+        for n in usable:
+            a = complex(rng.uniform(0.5, 2.0) * np.cos(rng.uniform(0, 2 * np.pi)),
+                        rng.uniform(0.5, 2.0) * np.sin(rng.uniform(0, 2 * np.pi)))
+            planted[n] = a
+            samples += a * dens.entry(n) * np.exp(2j * np.pi * n * theta)
+        plants.append((planted, samples))
+    return plants
 
 
 # ------------------------------------------------------ tables and reports

@@ -5,10 +5,14 @@ checkout pays the solver cost once; each criterion still asserts its own
 runtime budget.
 """
 
+import numpy as np
+
 from geoperiods import verify
+from geoperiods.hypgeom import GroupElement
+from geoperiods.modelrep import SpectralParam, density_b, density_c
 
 from conftest import CACHE_DIR
-from oracles import summary_lines
+from oracles import planted_stream, summary_lines
 
 
 def _run(name):
@@ -49,6 +53,25 @@ def test_criterion_06_plancherel_identity():
 
 def test_criterion_07_planted_coefficient_roundtrip():
     _run("planted-coefficient-roundtrip")
+
+
+def test_criterion_07_plants_the_per_index_stream():
+    # the check's one draw per density kind gives the doubles of four
+    # scalar draws per index, and its product the index-by-index sum
+    par = SpectralParam(lam=60j)
+    densities = [
+        density_b(par, verify.ACCEPTANCE_Q_VALUES[1], (-40, 40)),
+        density_c(par, GroupElement(verify.MODEL_CIRCLE_ELEMENT), (-40, 40))]
+    rng, ref_rng = (np.random.default_rng(20260810) for _ in range(2))
+    for dens in densities:
+        ns, coeffs, basis = verify.planted_basis(rng, dens, 50)
+        plants = planted_stream(ref_rng, dens, 50)
+        assert all(list(planted) == ns.tolist() for planted, _ in plants)
+        assert np.array_equal(
+            coeffs, [list(planted.values()) for planted, _ in plants])
+        samples = plants[0][1]
+        assert (np.max(np.abs(coeffs[0] @ basis - samples))
+                <= 1e-12 * np.max(np.abs(samples)))
 
 
 def test_criterion_08_maass_solver_self_consistency():

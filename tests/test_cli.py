@@ -153,6 +153,18 @@ def test_verify_subset_pass_and_forced_failure(tmp_path, monkeypatch, capsys):
     assert "[FAIL] table-integral-identity" in res.stdout
 
 
+def test_planted_roundtrip_with_nothing_planted_fails(tmp_path, capsys):
+    # one plant over two density kinds rounds down to none per kind
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "checks": ["planted-coefficient-roundtrip"],
+        "tolerances": {"planted-coefficient-roundtrip.n_plants": 1}}))
+    res = run_main(["--config", str(cfg), "verify"], capsys)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert res.stdout.startswith("[FAIL] planted-coefficient-roundtrip")
+    assert "0 plants" in res.stdout
+
+
 def test_verify_skips_without_cache(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"

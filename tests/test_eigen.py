@@ -38,6 +38,31 @@ def test_sphere_rejects_bad_order():
         sphere_harmonic(3, 4)
 
 
+@pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (10, 10), (50, 50),
+                                 (120, 120), (200, 200), (20, 13), (60, 7),
+                                 (150, 149), (200, 100)])
+def test_norm_legendre_matches_mpmath(n, m):
+    """Against P_n^m(x) = (-1)^m (2m-1)!! (1-x^2)^{m/2} C_{n-m}^{(m+1/2)}(x)
+    in 30 digits.  (mpmath's legenp at zeroprec=200 returns false zeros
+    for sectoral degrees and for (20, 13) and (150, 149) away from x = 0,
+    after up to 13 s a case.)"""
+    mpmath = pytest.importorskip("mpmath")
+    xs = [0.0, 0.3, -0.7, 0.95]
+    got = eigen._norm_legendre(n, m, np.array(xs))
+    with mpmath.workdps(30):
+        norm = mpmath.sqrt((2 * n + 1) / (4 * mpmath.pi)
+                           * mpmath.factorial(n - m) / mpmath.factorial(n + m))
+        for x, value in zip(xs, got):
+            if x == 0 and (n - m) % 2:
+                assert value == 0        # P_n^m is odd when n - m is
+                continue
+            x = mpmath.mpf(x)
+            want = (norm * (-1) ** m * mpmath.fac2(2 * m - 1)
+                    * (1 - x * x) ** (mpmath.mpf(m) / 2)
+                    * mpmath.gegenbauer(n - m, m + mpmath.mpf(1) / 2, x))
+            assert abs((value - want) / want) < 1e-13, (x, value, want)
+
+
 def sphere_norm_sq(phi, n_theta=200, n_phi=256):
     gx, gw = np.polynomial.legendre.leggauss(n_theta)
     theta = np.arccos(gx)
