@@ -317,11 +317,11 @@ def check_plancherel(forms, tol=1e-6):
 
 # --------------------------------------------------------------- check 7
 
-def planted_basis(rng, dens, n_plants, grid=1024):
+def planted_basis(rng, dens, n_plants):
     """Criterion 07's plants on the band where dividing out d_n amplifies
     roundoff by at most 1e4: indices n, coefficients r1 cos(phi1) + i r2
     sin(phi2) drawn in that order per plant and index, and the basis rows
-    d_n e^{2 pi i n k / grid}; plant p samples as ``coeffs[p] @ basis``."""
+    d_n e^{2 pi i n k / 1024}; plant p samples as ``coeffs[p] @ basis``."""
     keep = np.abs(dens.entries) >= 1e-4 * dens.max_abs()
     ns = dens.n_values[keep]
     draws = rng.uniform((0.5, 0.0, 0.5, 0.0), (2.0, 2 * np.pi, 2.0, 2 * np.pi),
@@ -329,7 +329,7 @@ def planted_basis(rng, dens, n_plants, grid=1024):
     coeffs = (draws[..., 0] * np.cos(draws[..., 1])
               + 1j * (draws[..., 2] * np.sin(draws[..., 3])))
     return ns, coeffs, dens.entries[keep, None] * np.exp(
-        2j * np.pi * ns[:, None] * (np.arange(grid) / grid))
+        2j * np.pi * ns[:, None] * (np.arange(1024) / 1024))
 
 
 @_check("planted-coefficient-roundtrip", 60.0)

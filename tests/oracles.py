@@ -226,17 +226,17 @@ def pi_action(param, g, v):
 # --------------------------------------------------------- planted plants
 
 
-def planted_stream(rng, dens, n_plants, grid=1024):
+def planted_stream(rng, dens, n_plants):
     """Criterion 07's plants drawn with four scalar ``rng.uniform`` calls
     per index and summed index by index: per plant ({n: a_n}, samples of
-    sum_n a_n d_n e^{2 pi i n k / grid})."""
+    sum_n a_n d_n e^{2 pi i n k / 1024})."""
     usable = [int(n) for n in dens.n_values
               if abs(dens.entry(int(n))) >= 1e-4 * dens.max_abs()]
-    theta = np.arange(grid) / grid
+    theta = np.arange(1024) / 1024
     plants = []
     for _ in range(n_plants):
         planted = {}
-        samples = np.zeros(grid, dtype=complex)
+        samples = np.zeros(1024, dtype=complex)
         for n in usable:
             a = complex(rng.uniform(0.5, 2.0) * np.cos(rng.uniform(0, 2 * np.pi)),
                         rng.uniform(0.5, 2.0) * np.sin(rng.uniform(0, 2 * np.pi)))

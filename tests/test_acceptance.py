@@ -8,8 +8,6 @@ runtime budget.
 import numpy as np
 
 from geoperiods import verify
-from geoperiods.hypgeom import GroupElement
-from geoperiods.modelrep import SpectralParam, density_b, density_c
 
 from conftest import CACHE_DIR
 from oracles import planted_stream, summary_lines
@@ -55,23 +53,33 @@ def test_criterion_07_planted_coefficient_roundtrip():
     _run("planted-coefficient-roundtrip")
 
 
-def test_criterion_07_plants_the_per_index_stream():
+def test_criterion_07_plants_the_per_index_stream(monkeypatch):
     # the check's one draw per density kind gives the doubles of four
-    # scalar draws per index, and its product the index-by-index sum
-    par = SpectralParam(lam=60j)
-    densities = [
-        density_b(par, verify.ACCEPTANCE_Q_VALUES[1], (-40, 40)),
-        density_c(par, GroupElement(verify.MODEL_CIRCLE_ELEMENT), (-40, 40))]
-    rng, ref_rng = (np.random.default_rng(20260810) for _ in range(2))
-    for dens in densities:
-        ns, coeffs, basis = verify.planted_basis(rng, dens, 50)
+    # scalar draws per index, and each plant it restricts is the
+    # index-by-index sum
+    drawn, profiles = [], []
+    planted_basis, fourier_periods = verify.planted_basis, verify.fourier_periods
+
+    def record_basis(rng, dens, n_plants):
+        drawn.append((dens, planted_basis(rng, dens, n_plants)))
+        return drawn[-1][1]
+
+    def record_profile(prof, n_range):
+        profiles.append(prof.samples)
+        return fourier_periods(prof, n_range)
+
+    monkeypatch.setattr(verify, "planted_basis", record_basis)
+    monkeypatch.setattr(verify, "fourier_periods", record_profile)
+    res = _run("planted-coefficient-roundtrip")
+    assert res.details.startswith("100 plants") and len(drawn) == 2
+    ref_rng = np.random.default_rng(20260810)
+    for k, (dens, (ns, coeffs, _)) in enumerate(drawn):
         plants = planted_stream(ref_rng, dens, 50)
         assert all(list(planted) == ns.tolist() for planted, _ in plants)
         assert np.array_equal(
             coeffs, [list(planted.values()) for planted, _ in plants])
-        samples = plants[0][1]
-        assert (np.max(np.abs(coeffs[0] @ basis - samples))
-                <= 1e-12 * np.max(np.abs(samples)))
+        samples, want = profiles[50 * k], plants[0][1]
+        assert np.max(np.abs(samples - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_criterion_08_maass_solver_self_consistency():
