@@ -272,7 +272,7 @@ def main(argv=None) -> int:
             quad.ConvergenceError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except eigen.NoEigenvalueError as exc:
+    except (eigen.NoEigenvalueError, eigen.ConditioningError) as exc:
         print(f"solver: {exc}", file=sys.stderr)
         return 1
     return 2

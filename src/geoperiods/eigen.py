@@ -7,12 +7,14 @@ expansion is sampled on a low horocycle, pulled back into the fundamental
 domain, and the implied linear system is closed by regularized least
 squares.  Eigenvalues are zeros of a two-height coefficient mismatch.
 The grid scan of a bracket reads K_iR from a Chebyshev table in R per
-collocation (its arguments are fixed, only R varies), and each of its
-sign changes is refined on that table.  The exact kernel screens the
+collocation (its arguments are fixed, only R varies; every node of a
+table comes from one ``bessel_k_imag_grid`` pass), and each of its sign
+changes is refined on that table.  The exact kernel screens the
 table's root with one call (residual and two-height agreement, which
-bounds the exact mismatch there) and confirms a candidate by a sign
-change in the window around it at deeper truncation, refined exactly.
-One Illinois regula falsi routine serves both refinements.
+bounds the exact mismatch there).  A candidate is confirmed by a sign
+change in the window around it at deeper truncation, refined and
+screened the same way on the window's own tables.  One Illinois regula
+falsi routine serves every refinement.
 ``NoEigenvalueError`` gives every rejected candidate's reason; the
 ``geoperiods.eigen`` logger traces the scans, sign changes, refinements
 and rejections at DEBUG.
@@ -33,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .specfun import _BESSEL_R_MAX, bessel_k_imag
+from .specfun import _BESSEL_R_MAX, bessel_k_imag, bessel_k_imag_grid
 
 __all__ = [
     "Eigenfunction",
@@ -113,15 +115,21 @@ class Eigenfunction:
 # normalized Legendre recurrence (stable to high degree, no factorials)
 
 
-def _norm_legendre(n, m, costh):
+@functools.cache
+def _sectoral_constant(m):
+    """C_m = prod_{k=1..m} -sqrt((2k+1)/(2k)) / sqrt(4pi), once per m."""
+    return math.prod(-math.sqrt((2.0 * k + 1.0) / (2.0 * k))
+                     for k in range(1, m + 1)) / math.sqrt(4.0 * math.pi)
+
+
+def _norm_legendre(n, m, costh, sinth):
     """N_n^m P_n^m(cos theta), N_n^m = sqrt((2n+1)/(4pi) (n-m)!/(n+m)!), from
-    the closed form N_m^m P_m^m = C_m sin^m theta with the scalar C_m =
-    prod_{k=1..m} -sqrt((2k+1)/(2k)) / sqrt(4pi); recurs only for n > m."""
+    the closed form N_m^m P_m^m = C_m sin^m theta (see
+    ``_sectoral_constant``); recurs only for n > m.  Takes sin theta as
+    well as cos theta: near the poles sqrt(1 - cos^2) would lose relative
+    accuracy of about eps / theta^2, m times over in sin^m."""
     costh = np.asarray(costh, dtype=float)
-    sinth = np.sqrt(np.maximum(0.0, 1.0 - costh * costh))
-    c_m = math.prod(-math.sqrt((2.0 * k + 1.0) / (2.0 * k))
-                    for k in range(1, m + 1)) / math.sqrt(4.0 * math.pi)
-    q_mm = c_m * sinth ** m
+    q_mm = _sectoral_constant(m) * np.asarray(sinth, dtype=float) ** m
     if n == m:
         return q_mm
     q_prev = q_mm
@@ -148,7 +156,7 @@ def sphere_harmonic(n: int, m: int) -> Eigenfunction:
     def ev(points):
         pts = np.asarray(points, dtype=float)
         theta, phi = pts[..., 0], pts[..., 1]
-        leg = _norm_legendre(n, m_abs, np.cos(theta))
+        leg = _norm_legendre(n, m_abs, np.cos(theta), np.sin(theta))
         if sign_m > 0:
             return np.sqrt(2.0) * leg * np.cos(m_abs * phi)
         if sign_m < 0:
@@ -213,8 +221,10 @@ def _cheb_fit(t, samples):
     coeffs = ((2.0 / n) * np.polynomial.chebyshev.chebvander(t, n - 1).T
               @ samples)
     coeffs[0] *= 0.5
+    # a column that underflows to zero has a zero tail
     tail = float(np.max(np.sum(np.abs(coeffs[-2:]), axis=0)
-                        / np.max(np.abs(samples), axis=0)))
+                        / np.maximum(np.max(np.abs(samples), axis=0),
+                                     np.finfo(float).tiny)))
     return coeffs, tail
 
 
@@ -344,15 +354,20 @@ class _Collocation:
 
     def table(self, lo, hi):
         """The kernel pair as a function of R in [lo, hi], interpolated
-        from ``_CHEB_NODES`` exact samples at Chebyshev points of [lo, hi]
-        (the arguments are fixed, only R varies), and the table's tail (see
-        ``_cheb_fit``), worst over the arguments.  The function keeps the
-        Chebyshev coefficients and maps an array of R to one pair per R."""
+        from ``_CHEB_NODES`` samples at Chebyshev points of [lo, hi] (the
+        arguments are fixed, only R varies), all taken in one pass of
+        ``bessel_k_imag_grid``, and the table's tail (see ``_cheb_fit``),
+        worst over the arguments.  The function keeps the Chebyshev
+        coefficients and maps an array of R to one pair per R.  Raises
+        ConditioningError when the tail is above ``_TABLE_TAIL_TOL``."""
         t = _cheb_nodes(_CHEB_NODES)
         u = np.concatenate([self.u_pull.ravel(), self.u_y])
-        samples = np.array([bessel_k_imag(r, u)
-                            for r in 0.5 * (hi + lo) + 0.5 * (hi - lo) * t])
+        samples = bessel_k_imag_grid(0.5 * (hi + lo) + 0.5 * (hi - lo) * t, u)
         coeffs, tail = _cheb_fit(t, samples)
+        if not tail <= _TABLE_TAIL_TOL:
+            raise ConditioningError(
+                f"K_iR table over [{lo:.6f}, {hi:.6f}]: Chebyshev tail "
+                f"{tail:.1e} above {_TABLE_TAIL_TOL:g}")
         n = self.u_pull.size
 
         def pairs(rs):
@@ -453,15 +468,18 @@ class _Locator:
                 ga, side = (0.5 * ga if side > 0 else ga), 1
         return 0.5 * (a + b), calls
 
-    def roots(self, rs):
+    def roots(self, rs, tabled=None):
         """(a, b, R, screen) for each sign change [a, b] of the indicator
         over the grid ``rs``, in grid order, computed when it is reached:
         R is refined from the scan's values at a and b on the indicator
-        the grid was scanned with (Chebyshev tables when it has more points
-        than a table has nodes, else exact), and ``screen`` is the exact
-        ``indicator(R)``, a tabled scan's one exact call per sign change."""
-        kind = "table" if len(rs) > _CHEB_NODES else "exact"
-        gs, indicator = (self._table_scan(rs) if kind == "table" else
+        the grid was scanned with (Chebyshev tables when ``tabled``, by
+        default when the grid has more points than a table has nodes, else
+        exact), and ``screen`` is the exact ``indicator(R)``, a tabled
+        scan's one exact call per sign change."""
+        if tabled is None:
+            tabled = len(rs) > _CHEB_NODES
+        kind = "table" if tabled else "exact"
+        gs, indicator = (self._table_scan(rs) if tabled else
                          ([self.indicator(r)[0] for r in rs], self.indicator))
         for i in np.where(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]:
             a, b = rs[i], rs[i + 1]
@@ -475,14 +493,16 @@ class _Locator:
 
 
 # locator scan step, half width of the confirming window, Chebyshev nodes
-# of a scan table, root bracket width and least-squares cutoff; acceptance
-# bounds on residual, height agreement and movement under deeper
-# truncation; a form's K_iR table: panels in log u and Chebyshev nodes
-# per panel, the fewest exact points that keep its error at the integral's
-# own for R = 9.53 to 39.9
+# of a scan or window table and the largest tail it may have (24 nodes
+# stay below it by more than 100x up to R = 40), root bracket width
+# and least-squares cutoff; acceptance bounds on residual, height
+# agreement and movement under deeper truncation; a form's K_iR table:
+# panels in log u and Chebyshev nodes per panel, the fewest exact points
+# that keep its error at the integral's own for R = 9.53 to 39.9
 _SCAN_STEP = 0.01
 _WINDOW = 1e-4
 _CHEB_NODES = 24
+_TABLE_TAIL_TOL = 1e-9
 _ROOT_WIDTH = 5e-13
 _RCOND = 1e-9
 _RESIDUAL_TOL = 1e-8
@@ -520,8 +540,9 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
     candidates whose full-system residual or two-height coefficient
     agreement fail the tolerances are rejected, a sign change the exact
     kernel does not show among them.  The returned R is confirmed by an
-    independent relocation at truncation M0+8, refined from the ends of
-    the window R +- ``_WINDOW`` (its move is recorded in
+    independent relocation at truncation M0+8: a sign change over the
+    window R +- ``_WINDOW``, refined on the window's tables from its ends
+    and screened by the exact mismatch there (its move is recorded in
     ``r_stability``).  If nothing survives,
     NoEigenvalueError carries the reason of every parity and candidate.
     """
@@ -553,15 +574,21 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
                 reject(f"{cand} rejected: residual={resid:.2e}, "
                        f"height agreement={agree:.2e}")
                 continue
-            # confirm at deeper truncation
+            # confirm at deeper truncation: a sign change over the window,
+            # refined on its tables and screened by the exact kernel
             deep = _Locator(M0 + 8, par, y1=min(y0, 0.35), y2=0.28)
-            r_deep, calls = deep.refine(deep.indicator, r_loc - _WINDOW,
-                                        r_loc + _WINDOW)
-            if r_deep is None:
+            _log.debug("M0+8 confirmation of R=%.12f", r_loc)
+            found = next(deep.roots(np.array([r_loc - _WINDOW,
+                                              r_loc + _WINDOW]), tabled=True),
+                         None)
+            if found is None:
                 reject(f"{cand} not confirmed at M0+8")
                 continue
-            _log.debug("refined at M0+8 to R=%.12f in %d exact indicator "
-                       "calls (%d kernel calls)", r_deep, calls, 4 * calls)
+            r_deep, g_deep = found[2], found[3][0]
+            if abs(g_deep) > _AGREEMENT_TOL:
+                reject(f"{cand} not confirmed by the exact kernel at M0+8 "
+                       f"(indicator {g_deep:.2e} at R={r_deep:.6f})")
+                continue
             if abs(r_deep - r_loc) > _STABILITY_TOL:
                 reject(f"{cand} unstable under deeper truncation "
                        f"(moved {abs(r_deep - r_loc):.2e})")

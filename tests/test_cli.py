@@ -350,6 +350,21 @@ def test_unsettled_fourier_sum_exits_1_with_one_line(tmp_path, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+def test_coarse_scan_table_exits_1_with_one_line(tmp_path, monkeypatch,
+                                                 capsys):
+    # a scan table of 4 nodes cannot reach its tail tolerance on (9, 10):
+    # the solver raises ConditioningError before anything is cached
+    monkeypatch.setattr(eigen, "_CHEB_NODES", 4)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"brackets": [[9.0, 10.0]]}))
+    assert main(["--config", str(cfg), "--cache", str(tmp_path / "cache"),
+                 "solve"]) == 1
+    [err] = capsys.readouterr().err.strip().splitlines()
+    assert err.startswith("solver: K_iR table over [9.000000, 10.000000]: "
+                          "Chebyshev tail ")
+    assert not (tmp_path / "cache").exists()
+
+
 @pytest.mark.parametrize("recipe", sorted(RECIPES))
 def test_recipe_does_no_io_and_names_the_files_the_cli_writes(
         recipe, tmp_path, monkeypatch, capsys):

@@ -13,7 +13,7 @@ from geoperiods.eigen import (CacheRecordError, NoEigenvalueError,
                               ReductionError, evaluate, laplace_residual,
                               pullback, sphere_harmonic, torus_mode)
 from geoperiods.quad import periodic_fourier
-from geoperiods.specfun import bessel_k_imag
+from geoperiods.specfun import bessel_k_imag, bessel_k_imag_grid
 
 from conftest import CACHE_DIR
 
@@ -43,20 +43,23 @@ def test_sphere_rejects_bad_order():
                                  (150, 149), (200, 100)])
 def test_norm_legendre_matches_mpmath(n, m):
     """Against P_n^m(x) = (-1)^m (2m-1)!! (1-x^2)^{m/2} C_{n-m}^{(m+1/2)}(x)
-    in 30 digits.  (mpmath's legenp at zeroprec=200 returns false zeros
-    for sectoral degrees and for (20, 13) and (150, 149) away from x = 0,
-    after up to 13 s a case.)"""
+    in 30 digits, at four x and at x = cos 0.05, near the pole, where sin
+    theta is passed as computed from theta.  (mpmath's legenp at
+    zeroprec=200 returns false zeros for sectoral degrees and for (20, 13)
+    and (150, 149) away from x = 0, after up to 13 s a case.)"""
     mpmath = pytest.importorskip("mpmath")
-    xs = [0.0, 0.3, -0.7, 0.95]
-    got = eigen._norm_legendre(n, m, np.array(xs))
+    xs = np.array([0.0, 0.3, -0.7, 0.95, np.cos(0.05)])
+    sins = np.append(np.sqrt(1.0 - xs[:-1] ** 2), np.sin(0.05))
+    got = eigen._norm_legendre(n, m, xs, sins)
     with mpmath.workdps(30):
         norm = mpmath.sqrt((2 * n + 1) / (4 * mpmath.pi)
                            * mpmath.factorial(n - m) / mpmath.factorial(n + m))
-        for x, value in zip(xs, got):
+        exact_xs = [mpmath.mpf(x) for x in xs[:-1]] + [
+            mpmath.cos(mpmath.mpf(0.05))]
+        for x, value in zip(exact_xs, got):
             if x == 0 and (n - m) % 2:
                 assert value == 0        # P_n^m is odd when n - m is
                 continue
-            x = mpmath.mpf(x)
             want = (norm * (-1) ** m * mpmath.fac2(2 * m - 1)
                     * (1 - x * x) ** (mpmath.mpf(m) / 2)
                     * mpmath.gegenbauer(n - m, m + mpmath.mpf(1) / 2, x))
@@ -222,8 +225,13 @@ def test_chebyshev_helper_matches_chebval():
         np.abs(ref))
     # fitting the values at the nodes gives the coefficients back
     t = eigen._cheb_nodes(24)
-    fit, _ = eigen._cheb_fit(t, np.polynomial.chebyshev.chebval(t, coeffs))
+    fit, tail = eigen._cheb_fit(t, np.polynomial.chebyshev.chebval(t, coeffs))
     assert np.max(np.abs(fit - coeffs)) <= 1e-14 * np.max(np.abs(coeffs))
+    # a column that underflowed to zero (a kernel far past its turning
+    # point) adds nothing to the tail
+    values = np.polynomial.chebyshev.chebval(t, coeffs)
+    _, tail_0 = eigen._cheb_fit(t, np.column_stack([values, 0.0 * values]))
+    assert tail_0 == pytest.approx(tail, rel=1e-12)
     # per-point coefficient columns: each x evaluates its own column
     table = rng.standard_normal((24, 3))
     cols = rng.integers(0, 3, x.size)
@@ -243,7 +251,8 @@ def test_chebyshev_helper_is_exact_on_degree_23():
 
 def test_collocation_table_matches_vandermonde_fit():
     # the acceptance scan table of (13.5, 14.2) against the Vandermonde
-    # fit and evaluation written out in full
+    # fit and evaluation written out in full, of the same samples (the
+    # kernel itself is tested in test_specfun.py)
     coll = eigen._Collocation(0.40, 26, 14, "even")
     rs = np.arange(13.5, 14.2 + 0.005, 0.01)
     table, tail = coll.table(rs[0], rs[-1])
@@ -252,8 +261,7 @@ def test_collocation_table_matches_vandermonde_fit():
     t = np.cos(np.pi * (np.arange(nodes) + 0.5) / nodes)
     u = np.concatenate([coll.u_pull.ravel(), coll.u_y])
     lo, hi = rs[0], rs[-1]
-    samples = np.array([bessel_k_imag(r, u)
-                        for r in 0.5 * (hi + lo) + 0.5 * (hi - lo) * t])
+    samples = bessel_k_imag_grid(0.5 * (hi + lo) + 0.5 * (hi - lo) * t, u)
     vander = np.polynomial.chebyshev.chebvander
     coeffs = (2.0 / nodes) * vander(t, nodes - 1).T @ samples
     coeffs[0] *= 0.5
@@ -522,25 +530,32 @@ def test_cold_solve_matches_committed_record(caplog):
     trace = "\n".join(r.getMessage() for r in caplog.records)
     for step in ("scan of 71 points", "Chebyshev tail", "sign flip in",
                  "table indicator calls; exact screen",
-                 "exact indicator calls", "rejected: even: candidate"):
+                 "M0+8 confirmation of R=", "scan of 2 points",
+                 "rejected: even: candidate"):
         assert step in trace
     assert {r.levelno for r in caplog.records} == {logging.DEBUG}
 
 
 def test_parities_share_one_pair_of_scan_tables(monkeypatch, caplog):
     # with parity="auto" the even scan of (9, 10) finds nothing and the odd
-    # scan reuses its tables: one table per collocation height, not two
+    # scan reuses its tables: one table per collocation height, not two;
+    # the odd candidate's M0+8 window builds its own pair
     built = []
     table = eigen._Collocation.table
     monkeypatch.setattr(eigen._Collocation, "table", lambda self, lo, hi:
-                        built.append(self) or table(self, lo, hi))
+                        built.append((lo, hi)) or table(self, lo, hi))
     with caplog.at_level(logging.DEBUG, logger="geoperiods.eigen"):
         form = eigen.hejhal_solve((9.0, 10.0), parity="auto")
-    assert len(built) == 2
+    assert len(built) == 4
+    assert np.allclose(built[:2], [(9.0, 10.0)] * 2, rtol=0, atol=1e-12)
+    assert np.allclose([hi - lo for lo, hi in built[2:]],
+                       [2 * eigen._WINDOW] * 2, rtol=1e-9, atol=0)
     scans = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("scan of")]
-    assert ["(2 built)" in m for m in scans] == [True, False]
+    assert ["(2 built)" in m for m in scans] == [True, False, True]
     assert "(0 built)" in scans[1]
+    assert [m.split(" over ")[0] for m in scans] == [
+        "scan of 101 points", "scan of 101 points", "scan of 2 points"]
     with open(os.path.join(os.path.dirname(__file__), "..", "form_cache",
                            "maass_odd_9.0000_10.0000_M22.json")) as fh:
         record = json.load(fh)
@@ -632,6 +647,23 @@ def test_table_roots_match_exact_roots(monkeypatch, bracket):
     assert flips >= 1
 
 
+@pytest.mark.parametrize("record", COMMITTED_RECORDS, ids=os.path.basename)
+def test_window_table_roots_match_exact_roots(monkeypatch, record):
+    # the M0+8 confirmation around each committed form's R: one sign flip
+    # over the window R +- _WINDOW, refined on the window's tables, with
+    # one exact indicator call, at the table root, which is the exact
+    # Illinois root to 1e-11
+    form = eigen.load_form(record)
+    calls = _count_exact_indicator_calls(monkeypatch)
+    deep = eigen._Locator(22, form.parity, 0.35, 0.28)
+    window = np.array([form.R - eigen._WINDOW, form.R + eigen._WINDOW])
+    [(a, b, r, screen)] = deep.roots(window, tabled=True)
+    assert calls == [(id(deep), r)]
+    assert screen == deep.indicator(r)
+    r_exact, _ = deep.refine(deep.indicator, a, b)
+    assert abs(r - r_exact) < 1e-11
+
+
 def test_narrow_bracket_evaluates_no_exact_point_twice(monkeypatch):
     # a bracket of at most 24 grid points is scanned exactly; the refinement
     # of its sign change starts from the scan's end values
@@ -653,6 +685,25 @@ def test_deeper_truncation_rejections(monkeypatch, setting, reason):
     with pytest.raises(NoEigenvalueError) as err:
         eigen.hejhal_solve((9.0, 10.0), parity="odd")
     assert f"odd: {reason}" in str(err.value)
+
+
+def test_window_root_the_exact_kernel_does_not_show_is_rejected(monkeypatch):
+    # a window table (wrongly) changing sign 30% into the window, 4e-5
+    # below the candidate: the exact indicator at the table root is far
+    # from zero, so the one odd candidate of (9, 10) is not confirmed
+    scan = eigen._Locator._table_scan
+
+    def shifted(self, rs):
+        if len(rs) > 2:
+            return scan(self, rs)
+        root = rs[0] + 0.3 * (rs[1] - rs[0])
+        return list(rs - root), lambda r: (r - root,)
+
+    monkeypatch.setattr(eigen._Locator, "_table_scan", shifted)
+    with pytest.raises(NoEigenvalueError) as err:
+        eigen.hejhal_solve((9.0, 10.0), parity="odd")
+    assert ("odd: candidate R=9.533695 not confirmed by the exact kernel at "
+            "M0+8 (indicator ") in str(err.value)
 
 
 def test_illinois_refinement_reaches_the_root_width():

@@ -1,11 +1,14 @@
+import json
+import logging
+
 import numpy as np
 import pytest
 
 from geoperiods import eigen, quad
 from geoperiods.specfun import (_NODE_LADDER, _TILT_R_MIN, DomainError,
                                 PoleError, UnsupportedRangeError,
-                                _kappa_contour, bessel_k_imag, log_gamma,
-                                table_integral)
+                                _kappa_contour, bessel_k_imag,
+                                bessel_k_imag_grid, log_gamma, table_integral)
 
 from oracles import conical_legendre
 
@@ -254,6 +257,82 @@ def test_chebyshev_scan_table_matches_kernel(bracket):
     exact = np.array([flat(coll.kernels(r)) for r in rs[1::4]])
     assert np.max(np.abs(got - exact) / np.max(np.abs(exact), axis=0)) < 1e-9
     assert tail < 1e-9
+
+
+# Twice the exact kernel's documented error against mpmath (2e-11 at
+# R = 9.53 and 13.8, 6e-11 at 25, 2e-10 at 40; 3e-14 at R <= 2 becomes 6e-14
+# up to R = 2.5): the grid and the exact kernel each err by at most that,
+# so they differ by at most twice it.  (5.9, 7.9) straddles _TILT_R_MIN,
+# where the exact kernel starts to tilt its contour and the grid tilts
+# it for every R of the bracket.
+GRID_BRACKETS = [((0.5, 2.5), 6e-14), ((5.9, 7.9), 4e-11), ((9.0, 10.0), 4e-11),
+                 ((13.5, 14.2), 4e-11), ((20.0, 22.0), 1.2e-10),
+                 ((37.89, 39.89), 4e-10)]
+
+
+@pytest.mark.parametrize("bracket, bound", GRID_BRACKETS,
+                         ids=[str(b) for b, _ in GRID_BRACKETS])
+def test_bessel_grid_matches_exact_kernel(bracket, bound, caplog):
+    """On the solver's arguments at the M0 and M0+8 heights, relative to
+    each argument's largest value over the bracket.  Its Gauss rungs
+    (logged at DEBUG) stay at or below 256 nodes, where leggauss's
+    weights are accurate."""
+    rs = np.linspace(*bracket, 7)
+    for y, q, m0 in [(0.40, 26, 14), (0.35, 26, 14), (0.35, 34, 22),
+                     (0.28, 34, 22)]:
+        coll = eigen._Collocation(y, q, m0, "even")
+        u = np.concatenate([coll.u_pull.ravel(), coll.u_y])
+        with caplog.at_level(logging.DEBUG, logger="geoperiods.specfun"):
+            got = bessel_k_imag_grid(rs, u)
+        rungs = caplog.records[-1].getMessage().partition("Gauss rungs ")[2]
+        assert 0 < max(json.loads(rungs)) <= 256
+        exact = np.array([bessel_k_imag(r, u) for r in rs])
+        assert got.shape == exact.shape
+        err = np.abs(got - exact) / np.max(np.abs(exact), axis=0)
+        assert np.max(err) < bound, (y, rs[np.argmax(np.max(err, axis=1))])
+
+
+@pytest.mark.parametrize("bracket, bound", [((9.0, 10.0), 2e-11),
+                                            ((13.5, 14.2), 2e-11),
+                                            ((37.89, 39.89), 2e-10)])
+def test_bessel_grid_matches_mpmath(bracket, bound):
+    """At both ends and the middle of a bracket, below, at and above the
+    turning point u = R, within the exact kernel's documented error
+    there; scaled as in ``test_bessel_matches_mpmath``."""
+    mpmath = pytest.importorskip("mpmath")
+    rs = np.array([bracket[0], 0.5 * sum(bracket), bracket[1]])
+    lo, hi = bracket
+    us = np.array([0.3, 0.5 * lo, 0.9 * lo, lo, 1.2 * hi, 2.0 * hi, 60.0])
+    got = bessel_k_imag_grid(rs, us)
+    with mpmath.workdps(30):
+        for R, row in zip(rs, got):
+            ref = np.array([float(mpmath.re(mpmath.besselk(1j * R, u)
+                                            * mpmath.exp(mpmath.pi * R / 2)))
+                            for u in us])
+            below = us < R
+            scale = np.where(below, np.max(np.abs(ref), where=below,
+                                           initial=0.0), np.abs(ref))
+            assert np.max(np.abs(row - ref) / scale) < bound, R
+
+
+def test_bessel_grid_domain_errors():
+    with pytest.raises(DomainError):
+        bessel_k_imag_grid([-1.0, 2.0], 1.0)
+    with pytest.raises(DomainError):
+        bessel_k_imag_grid([2.0], [1.0, 0.0])
+    with pytest.raises(UnsupportedRangeError):
+        bessel_k_imag_grid([39.0, 41.0], 1.0)
+
+
+def test_coarse_scan_table_raises(monkeypatch):
+    # 16 nodes on (38, 40) leave a Chebyshev tail of about 4e-8 of the
+    # largest sample, above the table's 1e-9
+    monkeypatch.setattr(eigen, "_CHEB_NODES", 16)
+    coll = eigen._Collocation(0.40, 26, 14, "even")
+    with pytest.raises(eigen.ConditioningError,
+                       match=r"K_iR table over \[38.000000, 40.000000\]: "
+                             r"Chebyshev tail .* above 1e-09"):
+        coll.table(38.0, 40.0)
 
 
 # ------------------------------------------------------- conical_legendre
