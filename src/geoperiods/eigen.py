@@ -8,12 +8,15 @@ domain, and the implied linear system is closed by regularized least
 squares.  Eigenvalues are zeros of a two-height coefficient mismatch.
 The grid scan of a bracket reads K_iR from a Chebyshev table in R per
 collocation (its arguments are fixed, only R varies; every node of a
-table comes from one ``bessel_k_imag_grid`` pass), and each of its sign
-changes is refined on that table.  The exact kernel screens the
-table's root with one call (residual and two-height agreement, which
-bounds the exact mismatch there).  A candidate is confirmed by a sign
-change in the window around it at deeper truncation, refined and
-screened the same way on the window's own tables.  One Illinois regula
+table comes from one ``bessel_k_imag_grid`` pass).  The collocation
+matrices are linear in the kernels, so they are tabled from it, and the
+scan solves the systems of its whole grid, both heights, in one stacked
+SVD.  Each of its sign changes is refined on those tables.  The exact
+kernel screens the table's root with one call (residual and two-height
+agreement, which bounds the exact mismatch there).  A candidate is
+confirmed by a sign change in the window around it at deeper
+truncation, refined and screened the same way on the window's own
+tables.  One Illinois regula
 falsi routine serves every refinement.
 ``NoEigenvalueError`` gives every rejected candidate's reason; the
 ``geoperiods.eigen`` logger traces the scans, sign changes, refinements
@@ -240,6 +243,28 @@ def _clenshaw(coeffs, x, columns=...):
     return coeffs[0][columns] + x * b1 - b2
 
 
+class _ChebTable:
+    """A Chebyshev series in R over [lo, hi]: ``coeffs`` holds one
+    coefficient per degree along axis 0, of any shape after it."""
+
+    def __init__(self, lo, hi, coeffs):
+        self.lo, self.hi, self.coeffs = lo, hi, coeffs
+
+    def __call__(self, rs):
+        """The series at R (a scalar, or an array of R stacked on the
+        leading axis), R in [lo, hi]."""
+        # T_k(cos theta) = cos(k theta): a quarter of chebvander's time
+        # for one R, which each step of a table refinement reads; the
+        # clip keeps a grid end that rounds past +-1 in arccos's domain
+        theta = np.arccos(np.clip(
+            (2.0 * np.asarray(rs) - (self.hi + self.lo)) / (self.hi - self.lo),
+            -1.0, 1.0))
+        n = len(self.coeffs)
+        values = (np.cos(theta[..., None] * np.arange(n))
+                  @ self.coeffs.reshape(n, -1))
+        return values.reshape(np.shape(rs) + self.coeffs.shape[1:])
+
+
 class _KappaTable:
     """u -> e^{pi R/2} K_{iR}(u) on the range ``MaassForm.value`` reads,
     [2 pi sqrt(3)/2, 60 + 2R] (0 above it): Chebyshev interpolants on
@@ -330,111 +355,149 @@ class MaassForm:
         return total
 
 
+def _least_squares(systems):
+    """Least-squares coefficients (a_1 = 1) of M0 x M0 collocation
+    systems stacked on any leading axes, and their residuals, stacked the
+    same way, from one SVD call.  It keeps ``lstsq``'s cutoff: singular
+    values at or below ``_RCOND`` times the largest count as zero, which
+    gives the minimum-norm solution."""
+    b = systems[..., 0]
+    u, s, vt = np.linalg.svd(systems[..., 1:], full_matrices=False)
+    if not (s[..., 0] > 0).all():
+        raise ConditioningError("collocation system is singular")
+    # x = V diag(1/s) U^T (-b), as row vectors; a direction whose singular
+    # value is cut is divided by inf
+    s_kept = np.where(s > _RCOND * s[..., :1], s, np.inf)
+    x = (((-b[..., None, :] @ u) / s_kept[..., None, :]) @ vt)[..., 0, :]
+    if not np.isfinite(x).all():
+        raise ConditioningError("collocation system is singular")
+    coeffs = np.ones(systems.shape[:-1])
+    coeffs[..., 1:] = x
+    a_c = (systems @ coeffs[..., None])[..., 0]
+    resid = np.sqrt((a_c * a_c).sum(-1) / ((systems * systems).sum((-2, -1))
+                                          * (coeffs * coeffs).sum(-1)))
+    return coeffs, resid
+
+
 class _Collocation:
     """The collocation system at one horocycle height ``Y``: Q points
     pulled back into the fundamental domain, and every factor of the
-    M0 x M0 system that does not depend on R, built once."""
+    M0 x M0 system that does not depend on R, built once.  Its kernel
+    arguments ``u`` are one row per pulled-back point (``u_pull``) and a
+    last row for the horocycle (``u_y``); kernels are laid out the same
+    way."""
 
     def __init__(self, Y, Q, M0, parity):
         xj = (np.arange(1, Q + 1) - 0.5) / (2.0 * Q)
         zs = np.array([pullback(complex(x, Y)) for x in xj])
         ns = np.arange(1, M0 + 1)
         osc = np.cos if parity == "even" else np.sin
-        self.u_pull = 2.0 * np.pi * np.outer(zs.imag, ns)
-        self.u_y = 2.0 * np.pi * ns * Y
+        self.u = np.vstack([2.0 * np.pi * np.outer(zs.imag, ns),
+                            2.0 * np.pi * ns * Y])
+        self.u_pull, self.u_y = self.u[:-1], self.u[-1]
         self.sqrt_Y = np.sqrt(Y)
         self.sqrt_ys = np.sqrt(zs.imag)[:, None]
         self.osc_pull = osc(2.0 * np.pi * np.outer(zs.real, ns))
         self.projection = (2.0 / Q) * osc(2.0 * np.pi * np.outer(xj, ns)).T
+        self._last = (None, None)
 
     def kernels(self, R):
-        """The exact kernel pair at R: e^{pi R/2} K_iR at the pulled-back
-        arguments and at the horocycle arguments."""
-        return bessel_k_imag(R, self.u_pull), bessel_k_imag(R, self.u_y)
+        """The exact kernels at R, e^{pi R/2} K_iR at ``u``, from one
+        ``bessel_k_imag`` call.  The last R's are kept, so a second solve
+        at the same R evaluates nothing."""
+        if self._last[0] != R:
+            self._last = (R, bessel_k_imag(R, self.u))
+        return self._last[1]
+
+    def system(self, kernels):
+        """The M0 x M0 collocation matrix of kernels laid out as ``u``, or
+        a stack of them for kernels stacked on leading axes:
+        projection @ (k_pull sqrt(y) osc) - diag(k_y sqrt(Y)).  It is
+        linear in the kernels, so it maps the Chebyshev coefficients of a
+        kernel table to those of the matrix."""
+        a_mat = self.projection @ (kernels[..., :-1, :] * self.sqrt_ys
+                                   * self.osc_pull)
+        diag = np.arange(a_mat.shape[-1])
+        a_mat[..., diag, diag] -= kernels[..., -1, :] * self.sqrt_Y
+        return a_mat
 
     def table(self, lo, hi):
-        """The kernel pair as a function of R in [lo, hi], interpolated
+        """The kernels as a ``_ChebTable`` over R in [lo, hi], interpolated
         from ``_CHEB_NODES`` samples at Chebyshev points of [lo, hi] (the
         arguments are fixed, only R varies), all taken in one pass of
         ``bessel_k_imag_grid``, and the table's tail (see ``_cheb_fit``),
-        worst over the arguments.  The function keeps the Chebyshev
-        coefficients and maps an array of R to one pair per R.  Raises
-        ConditioningError when the tail is above ``_TABLE_TAIL_TOL``."""
+        worst over the arguments.  Raises ConditioningError when the tail
+        is above ``_TABLE_TAIL_TOL``."""
         t = _cheb_nodes(_CHEB_NODES)
-        u = np.concatenate([self.u_pull.ravel(), self.u_y])
-        samples = bessel_k_imag_grid(0.5 * (hi + lo) + 0.5 * (hi - lo) * t, u)
+        samples = bessel_k_imag_grid(0.5 * (hi + lo) + 0.5 * (hi - lo) * t,
+                                     self.u)
         coeffs, tail = _cheb_fit(t, samples)
         if not tail <= _TABLE_TAIL_TOL:
             raise ConditioningError(
                 f"K_iR table over [{lo:.6f}, {hi:.6f}]: Chebyshev tail "
                 f"{tail:.1e} above {_TABLE_TAIL_TOL:g}")
-        n = self.u_pull.size
+        return _ChebTable(lo, hi, coeffs.reshape(-1, *self.u.shape)), tail
 
-        def pairs(rs):
-            # T_k(cos theta) = cos(k theta): a quarter of chebvander's time
-            # for one R, which each step of a table refinement reads; the
-            # clip keeps a grid end that rounds past +-1 in arccos's domain
-            theta = np.arccos(np.clip(
-                (2.0 * np.asarray(rs) - (hi + lo)) / (hi - lo), -1.0, 1.0))
-            values = np.cos(np.outer(theta, np.arange(_CHEB_NODES))) @ coeffs
-            return [(v[:n].reshape(self.u_pull.shape), v[n:]) for v in values]
-        return pairs, tail
-
-    def solve(self, R, kernels=None):
-        """Least-squares coefficients (a_1 = 1) at R and their residual,
-        from the given kernel pair or else the exact one."""
-        k_pull, k_y = self.kernels(R) if kernels is None else kernels
-        b = k_pull * self.sqrt_ys * self.osc_pull
-        c_y = k_y * self.sqrt_Y
-        a_mat = self.projection @ b - np.diag(c_y)
-        sol, _, _, sv = np.linalg.lstsq(a_mat[:, 1:], -a_mat[:, 0],
-                                        rcond=_RCOND)
-        if sv[0] <= 0 or not np.all(np.isfinite(sol)):
-            raise ConditioningError("collocation system is singular")
-        coeffs = np.concatenate([[1.0], sol])
-        resid = float(np.linalg.norm(a_mat @ coeffs)
-                      / (np.linalg.norm(a_mat, "fro") * np.linalg.norm(coeffs)))
-        return coeffs, resid
+    def solve(self, R):
+        """Least-squares coefficients (a_1 = 1) of the exact system at R
+        and their residual."""
+        coeffs, resid = _least_squares(self.system(self.kernels(R)))
+        return coeffs, float(resid)
 
 
 class _Locator:
     """Sign of the a_2 mismatch between two collocation heights.
 
-    ``tables`` holds the scan tables of ``_table_scan`` by horocycle
+    ``tables`` holds the kernel tables of ``_matrix_table`` by horocycle
     arguments and bracket; the kernel arguments do not depend on parity,
-    so ``hejhal_solve`` hands the locators of both parities one dict."""
+    so ``hejhal_solve`` hands the locators of both parities one dict.
+    The collocation matrices do, so each locator makes its own."""
 
     def __init__(self, M0, parity, y1, y2, tables=None):
         self.coll1 = _Collocation(y1, M0 + 12, M0, parity)
         self.coll2 = _Collocation(y2, M0 + 12, M0, parity)
         self.tables = {} if tables is None else tables
 
-    def indicator(self, R, kernels=(None, None)):
+    def indicator(self, R, systems=(None, None)):
         """The a_2 mismatch at R, the two-height agreement of a_1..a_8 and
-        the worse residual, from the given kernel pairs or else exact."""
-        c1, r1 = self.coll1.solve(R, kernels[0])
-        c2, r2 = self.coll2.solve(R, kernels[1])
+        the worse residual, from the given collocation matrices of the
+        two heights or else exact, solved in one stack."""
+        if systems[0] is None:
+            systems = np.stack([c.system(c.kernels(R))
+                                for c in (self.coll1, self.coll2)])
+        (c1, c2), resid = _least_squares(systems)
         return (float(c1[1] - c2[1]), float(np.max(np.abs(c1[:8] - c2[:8]))),
-                max(r1, r2))
+                float(resid.max()))
+
+    def _matrix_table(self, lo, hi):
+        """The collocation matrices of both heights over R in [lo, hi], one
+        ``_ChebTable`` of (height, M0, M0) per R: ``system`` of the kernel
+        tables' Chebyshev coefficients, exact because ``system`` is
+        linear.  Also the worse kernel-table tail, and how many kernel
+        tables were built (those ``tables`` did not have)."""
+        coeffs, tails, built = [], [], 0
+        for coll in (self.coll1, self.coll2):
+            key = (coll.u_y.tobytes(), lo, hi)
+            if key not in self.tables:
+                self.tables[key] = coll.table(lo, hi)
+                built += 1
+            kernels, tail = self.tables[key]
+            coeffs.append(coll.system(kernels.coeffs))
+            tails.append(tail)
+        return _ChebTable(lo, hi, np.stack(coeffs, axis=1)), max(tails), built
 
     def _table_scan(self, rs):
-        """The indicator's values over the grid ``rs`` and the indicator
-        itself at any R in [rs[0], rs[-1]], both from Chebyshev tables,
-        built unless ``tables`` has them."""
-        pairs, built = [], 0
-        for coll in (self.coll1, self.coll2):
-            key = (coll.u_y.tobytes(), rs[0], rs[-1])
-            if key not in self.tables:
-                self.tables[key] = coll.table(rs[0], rs[-1])
-                built += 1
-            pairs.append(self.tables[key])
-        (k1, tail1), (k2, tail2) = pairs
+        """The indicator's values over the grid ``rs``, from one stacked
+        solve of both heights' systems at every point, and the indicator
+        itself at any R in [rs[0], rs[-1]], both from ``_matrix_table``."""
+        table, tail, built = self._matrix_table(rs[0], rs[-1])
         _log.debug("scan of %d points over [%.6f, %.6f] from %d-node "
-                   "tables (%d built), Chebyshev tail %.1e", len(rs), rs[0],
-                   rs[-1], _CHEB_NODES, built, max(tail1, tail2))
-        gs = [self.indicator(r, pair)[0]
-              for r, pair in zip(rs, zip(k1(rs), k2(rs)))]
-        return gs, lambda r: self.indicator(r, (k1([r])[0], k2([r])[0]))
+                   "tables (%d built), Chebyshev tail %.1e, one stacked "
+                   "solve of %d systems", len(rs), rs[0], rs[-1],
+                   _CHEB_NODES, built, tail, 2 * len(rs))
+        coeffs, _ = _least_squares(table(rs))
+        return (coeffs[:, 0, 1] - coeffs[:, 1, 1],
+                lambda r: self.indicator(r, table(r)))
 
     @staticmethod
     def refine(indicator, a, b, ends=None):
@@ -593,6 +656,7 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
                 reject(f"{cand} unstable under deeper truncation "
                        f"(moved {abs(r_deep - r_loc):.2e})")
                 continue
+            # the exact screen at r_deep left its kernels in deep.coll1
             coeffs, resid_f = deep.coll1.solve(r_deep)
             form = MaassForm(R=float(r_deep), parity=par, M0=M0 + 8, y0=y0,
                              coefficients=coeffs, residual=resid_f,

@@ -256,7 +256,6 @@ def test_collocation_table_matches_vandermonde_fit():
     coll = eigen._Collocation(0.40, 26, 14, "even")
     rs = np.arange(13.5, 14.2 + 0.005, 0.01)
     table, tail = coll.table(rs[0], rs[-1])
-    pairs = table(rs)
     nodes = eigen._CHEB_NODES
     t = np.cos(np.pi * (np.arange(nodes) + 0.5) / nodes)
     u = np.concatenate([coll.u_pull.ravel(), coll.u_y])
@@ -266,12 +265,95 @@ def test_collocation_table_matches_vandermonde_fit():
     coeffs = (2.0 / nodes) * vander(t, nodes - 1).T @ samples
     coeffs[0] *= 0.5
     ref = vander((2.0 * rs - (hi + lo)) / (hi - lo), nodes - 1) @ coeffs
-    got = np.array([np.concatenate([p.ravel(), y]) for p, y in pairs])
+    # the kernels at each R laid out as coll.u, flattened
+    got = table(rs).reshape(len(rs), -1)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     ref_tail = np.max(np.sum(np.abs(coeffs[-2:]), axis=0)
                       / np.max(np.abs(samples), axis=0))
     assert tail == pytest.approx(ref_tail, rel=1e-12)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("bracket", [(9.0, 10.0), (13.5, 14.2), (38.0, 40.0)])
+def test_matrix_table_is_the_system_of_the_kernel_table(bracket, parity):
+    # system is linear, so the matrix table made from the kernel tables'
+    # coefficients is system of the tabled kernels, to rounding, at each
+    # R of the grid relative to that matrix's largest entry (a matrix row
+    # whose entries are all small sees the projection's rounding: 1.9e-13
+    # of its own largest entry on (13.5, 14.2))
+    loc = eigen._Locator(14, parity, 0.40, 0.35)
+    rs = np.arange(bracket[0], bracket[1] + 0.005, 0.01)
+    table, _, built = loc._matrix_table(rs[0], rs[-1])
+    got = table(rs)
+    assert built == 2 and got.shape == (len(rs), 2, 14, 14)
+    for height, coll in enumerate((loc.coll1, loc.coll2)):
+        kernels, _ = loc.tables[(coll.u_y.tobytes(), rs[0], rs[-1])]
+        ref = coll.system(kernels(rs))
+        err = np.abs(got[:, height] - ref)
+        assert np.max(err / np.max(np.abs(ref), axis=(1, 2),
+                                   keepdims=True)) <= 1e-14
+
+
+def _check_stacked_solve(loc, rs):
+    """Assert that the a_2 mismatch over ``rs`` from one stacked solve of
+    the locator's tabled systems agrees with one np.linalg.lstsq per
+    system (the loop the stacked solve replaced) to 1e-10 of its largest
+    value, and in sign; return the smallest ratio of singular values
+    met."""
+    systems = loc._matrix_table(rs[0], rs[-1])[0](rs)
+    coeffs, _ = eigen._least_squares(systems)
+    ref = np.array([[np.linalg.lstsq(a[:, 1:], -a[:, 0],
+                                     rcond=eigen._RCOND)[0][0] for a in pair]
+                    for pair in systems])
+    g, g_ref = coeffs[:, 0, 1] - coeffs[:, 1, 1], ref[:, 0] - ref[:, 1]
+    assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
+    assert np.array_equal(np.sign(g), np.sign(g_ref))
+    sv = np.linalg.svd(systems[..., 1:], compute_uv=False)
+    return np.min(sv[..., -1] / sv[..., 0])
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("bracket", [(9.0, 10.0), (12.0, 12.7), (13.5, 14.2)])
+def test_stacked_scan_solve_matches_lstsq(bracket, parity):
+    # every system of (9, 10) at the lower height is rank-deficient
+    # (singular values down to 4.6e-11 of the largest)
+    ratio = _check_stacked_solve(eigen._Locator(14, parity, 0.40, 0.35),
+                                 np.arange(bracket[0], bracket[1] + 0.005,
+                                           0.01))
+    if bracket == (9.0, 10.0):
+        assert ratio <= eigen._RCOND
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("record", COMMITTED_RECORDS, ids=os.path.basename)
+def test_stacked_window_solve_matches_lstsq(record, parity):
+    # the M0+8 window around each committed form's R, where the systems
+    # are rank-deficient at both heights
+    R = eigen.load_form(record).R
+    window = np.linspace(R - eigen._WINDOW, R + eigen._WINDOW, 9)
+    assert _check_stacked_solve(eigen._Locator(22, parity, 0.35, 0.28),
+                                window) <= eigen._RCOND
+
+
+def test_stacked_solve_gives_the_minimum_norm_solution():
+    # a duplicated column leaves one direction without weight: lstsq's
+    # cutoff drops it, which splits the weight evenly between the twins
+    a = np.random.default_rng(29).standard_normal((2, 14, 14))
+    a[:, :, 5] = a[:, :, 4]
+    coeffs, resid = eigen._least_squares(a)
+    assert coeffs.shape == (2, 14) and resid.shape == (2,)
+    for a_k, c in zip(a, coeffs):
+        ref = np.linalg.lstsq(a_k[:, 1:], -a_k[:, 0], rcond=eigen._RCOND)[0]
+        assert c[0] == 1.0
+        assert np.max(np.abs(c[1:] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert c[4] == pytest.approx(c[5], rel=1e-12)
+    # one system gives one solution and residual
+    c, r = eigen._least_squares(a[0])
+    assert c.shape == (14,) and r.shape == ()
+    assert np.allclose(c, coeffs[0], rtol=1e-14, atol=0)
+    with pytest.raises(eigen.ConditioningError, match="singular"):
+        eigen._least_squares(np.zeros((14, 14)))
 
 
 def test_find_form_prefers_highest_m0(tmp_path, first_form):
@@ -662,6 +744,22 @@ def test_window_table_roots_match_exact_roots(monkeypatch, record):
     assert screen == deep.indicator(r)
     r_exact, _ = deep.refine(deep.indicator, a, b)
     assert abs(r - r_exact) < 1e-11
+
+
+def test_cold_solve_evaluates_no_exact_kernel_twice(monkeypatch):
+    # every exact kernel call of a cold solve is at a new R or new
+    # arguments: the final solve reuses the M0+8 screen's kernels, and
+    # gives what a fresh collocation at the form's R gives
+    seen = []
+    kernel = eigen.bessel_k_imag
+    monkeypatch.setattr(eigen, "bessel_k_imag", lambda R, u: seen.append(
+        (R, np.asarray(u).tobytes())) or kernel(R, u))
+    form = eigen.hejhal_solve((9.0, 10.0), parity="auto")
+    assert len(set(seen)) == len(seen)
+    coeffs, resid = eigen._Collocation(0.35, 34, 22, form.parity).solve(
+        form.R)
+    assert np.array_equal(form.coefficients, coeffs)
+    assert form.residual == resid
 
 
 def test_narrow_bracket_evaluates_no_exact_point_twice(monkeypatch):
