@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
+import logging
 import math
 import os
 import sys
@@ -25,6 +27,8 @@ from .modelrep import (SpectralParam, density_b, density_c, density_c_grid,
 from .periods import (check_band, check_curve, check_t_grid,
                       coefficient_family, equator_degrees, equator_norms,
                       period_table_to_csv, report_to_json)
+
+_log = logging.getLogger(__name__)
 
 
 def _default(value):
@@ -151,9 +155,16 @@ def _sweep_maass(cfg: RunConfig):
             f"`geoperiods solve --config ...` first "
             f"(cache dir: {cfg.cache_dir})")
     phis = [eigen.as_eigenfunction(f) for f in forms]
+    # the memo itself, under any wrapper (a profiler's) standing in for it
+    memo = inspect.unwrap(eigen.pullback,
+                          stop=lambda f: hasattr(f, "cache_info"))
+    before = memo.cache_info()
     with ThreadPoolExecutor(cfg.jobs) as pool:
         tables, reports = coefficient_family(
             phis, cfg.orbits, tuple(cfg.n_range), cfg.t_grid, map=pool.map)
+    after = memo.cache_info()
+    _log.debug("pullback memo over the sweep: %d hits, %d misses",
+               after.hits - before.hits, after.misses - before.misses)
     # positional table: the benchmark's tracer reads the path as argument 2
     files = {f"periods_{tb.curve_id.split('(')[0]}_R{tb.spectral_r:.4f}.csv":
              functools.partial(period_table_to_csv, tb) for tb in tables}

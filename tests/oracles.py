@@ -14,6 +14,9 @@ takes in closed form.
 tested for.
 ``planted_stream`` draws and synthesizes criterion 07's plants one index
 at a time, the reference for ``verify.planted_basis``.
+``maass_value_termwise`` sums a cusp form's whole Fourier-Bessel series,
+the reference for ``MaassForm.value``, which stops at the K_iR table's
+end.
 ``index_symmetric`` and ``summary_lines`` read tables and reports the
 package returns.
 """
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from geoperiods.eigen import pullback
 from geoperiods.hypgeom import GroupElement
 from geoperiods.modelrep import circle_log_jacobian
 from geoperiods.specfun import DomainError
@@ -182,6 +186,28 @@ def fd_edge_constant(g, grid=65536):
     lw = np.log(circle_log_jacobian(g)(np.arange(grid) / grid))
     d = (np.roll(lw, -1) - np.roll(lw, 1)) * (grid / 2.0)
     return 0.5 * float(np.max(np.abs(d)))
+
+
+# ------------------------------------------------------------ cusp forms
+
+
+def maass_value_termwise(form, z):
+    """``form.value(z)`` summed over all M0 terms, those the K_iR table
+    reads as 0 included, with every point reduced by the unmemoised
+    ``pullback``."""
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    pts = np.array([pullback.__wrapped__(w) for w in zz.ravel()])
+    x = pts.real
+    y = pts.imag
+    osc = np.cos if form.parity == "even" else np.sin
+    total = np.zeros(x.shape)
+    sy = np.sqrt(y)
+    for idx, a in enumerate(form.coefficients):
+        n = idx + 1
+        u = 2.0 * np.pi * n * y
+        total += a * form._kappa(u) * sy * osc(2.0 * np.pi * n * x)
+    total *= form.l2_scale
+    return total.reshape(np.shape(z)) if np.ndim(z) else float(total[0])
 
 
 # ------------------------------------------------------------- line model

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import glob
 import json
 import logging
 import os
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,10 +15,14 @@ from geoperiods import eigen, verify
 from geoperiods.eigen import (CacheRecordError, NoEigenvalueError,
                               ReductionError, evaluate, laplace_residual,
                               pullback, sphere_harmonic, torus_mode)
+from geoperiods.hypgeom import orbit_from_spec
+from geoperiods.periods import (TABLE_GRID, coefficient_family,
+                                period_table_to_csv, report_to_json)
 from geoperiods.quad import periodic_fourier
 from geoperiods.specfun import bessel_k_imag, bessel_k_imag_grid
 
 from conftest import CACHE_DIR
+from oracles import maass_value_termwise
 
 RNG = np.random.default_rng(13)
 
@@ -158,6 +165,80 @@ def test_pullback_fundamental_domain():
 def test_pullback_gives_up_after_max_steps():
     with pytest.raises(ReductionError):
         pullback(0.1 + 0.1j, max_steps=1)
+    # the failure is not memoised: the point reduces with the default
+    # steps, and one step fails again after that
+    assert pullback(0.1 + 0.1j) == pullback.__wrapped__(0.1 + 0.1j)
+    with pytest.raises(ReductionError):
+        pullback(0.1 + 0.1j, max_steps=1)
+
+
+def _bits(w):
+    return np.float64(w.real).tobytes() + np.float64(w.imag).tobytes()
+
+
+def test_pullback_memo_is_exact_on_the_acceptance_curves():
+    # both curves at the grid of ``restrict`` and its double, 12,288
+    # points; the second call of each point is a memo hit
+    for spec in verify.ACCEPTANCE_CURVES:
+        curve = orbit_from_spec(spec)
+        for grid in (TABLE_GRID, 2 * TABLE_GRID):
+            for z in curve.points(np.arange(grid) / grid):
+                want = _bits(pullback.__wrapped__(z))
+                assert _bits(pullback(z)) == want
+                assert _bits(pullback(z)) == want
+
+
+@pytest.mark.parametrize("z", [0.3 + 0j, 0.3 - 1j])
+def test_pullback_refuses_the_lower_half_plane_every_time(z):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            pullback(z)
+
+
+def test_pullback_memo_is_bounded():
+    bound = eigen._PULLBACK_MEMO
+    assert pullback.cache_info().maxsize == bound
+    for x in np.linspace(-0.5, 0.5, bound + 1000):
+        pullback(complex(x, 2.0))
+    assert pullback.cache_info().currsize <= bound
+
+
+def _family_files(out, map=map):
+    """The CSV of every table and the reports' JSON of a
+    ``coefficient_family`` of the acceptance forms and curves (on a small
+    band and T grid) run by ``map``, as bytes by file name."""
+    phis = [eigen.as_eigenfunction(f)
+            for f in verify.acceptance_forms(CACHE_DIR)]
+    curves = [orbit_from_spec(spec) for spec in verify.ACCEPTANCE_CURVES]
+    tables, reports = coefficient_family(phis, curves, (-20, 20), (4, 8, 16),
+                                         map=map)
+    out.mkdir()
+    for k, tb in enumerate(tables):
+        period_table_to_csv(tb, out / f"table{k}.csv")
+    report_to_json(out / "summary.json", "modular", tables, reports)
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def builtin_family_files(tmp_path_factory):
+    return _family_files(tmp_path_factory.mktemp("family") / "builtin")
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_threaded_family_matches_builtin_map(builtin_family_files, tmp_path,
+                                             jobs):
+    # every thread reads and fills the one pullback memo: from an empty
+    # memo, with switches forced often, the tables keep every bit
+    interval = sys.getswitchinterval()
+    pullback.cache_clear()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(jobs) as pool:
+            got = _family_files(tmp_path / "threads",
+                                functools.partial(pool.map, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == builtin_family_files
 
 
 @pytest.mark.parametrize("record", COMMITTED_RECORDS, ids=os.path.basename)
@@ -567,6 +648,36 @@ def test_bad_cache_record_is_refused(tmp_path, change, problem):
         eigen.load_form(path)
     assert str(path) in str(err.value)
     assert problem in str(err.value)
+
+
+@pytest.mark.parametrize("record", COMMITTED_RECORDS, ids=os.path.basename)
+def test_value_stops_the_series_exactly(record):
+    # against every term summed, at the lowest height pullback gives
+    # (where the table's end still cuts the series: the last terms are
+    # dead), well inside, and at y = 40, where every term is dead
+    form = eigen.load_form(record)
+    x = np.linspace(-0.5, 0.5, 64)
+    low = np.sqrt(3.0) / 2.0 + 1e-9
+    assert (np.log(2.0 * np.pi * len(form.coefficients) * low)
+            > form._kappa.hi)
+    for y in (low, 1.2, 40.0):
+        z = x + 1j * y
+        assert form.value(z).tobytes() == maass_value_termwise(form,
+                                                               z).tobytes()
+    assert (form.value(x + 40j).tobytes()
+            == np.zeros(len(x)).tobytes())
+
+
+def test_value_of_an_empty_batch(first_form):
+    v = first_form.value(np.array([], dtype=complex))
+    assert v.shape == (0,) and v.dtype == float
+
+
+def test_value_at_a_nan_height_is_nan(first_form):
+    # a NaN point is past no table end: the series runs on, and it
+    # alone reads NaN, as in the whole sum
+    z = np.array([0.1 + 40j, complex(0.1, np.nan)])
+    assert np.array_equal(np.isnan(first_form.value(z)), [False, True])
 
 
 def test_modular_value_far_below_the_fundamental_domain(first_form):
