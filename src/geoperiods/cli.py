@@ -16,7 +16,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from . import eigen, quad, verify
@@ -55,7 +54,6 @@ class RunConfig:
     cache_dir: str = ""
     tolerances: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
-    jobs: int = 1
 
     def validate(self):
         for f in fields(self):      # each field has its default's JSON type
@@ -71,8 +69,6 @@ class RunConfig:
             _check_positive(f"tolerance {key!r}",
                             val if isinstance(val, list) else [val])
         verify.overrides(self.checks, self.tolerances)
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, not {self.jobs}")
         eigen.check_solve(self.brackets, self.parity, self.M0, self.y0)
         if len(self.n_range) != 2 or self.n_range[0] > self.n_range[1]:
             raise ValueError(f"n_range {self.n_range} is not an ascending pair")
@@ -159,9 +155,8 @@ def _sweep_maass(cfg: RunConfig):
     memo = inspect.unwrap(eigen.pullback,
                           stop=lambda f: hasattr(f, "cache_info"))
     before = memo.cache_info()
-    with ThreadPoolExecutor(cfg.jobs) as pool:
-        tables, reports = coefficient_family(
-            phis, cfg.orbits, tuple(cfg.n_range), cfg.t_grid, map=pool.map)
+    tables, reports = coefficient_family(phis, cfg.orbits,
+                                         tuple(cfg.n_range), cfg.t_grid)
     after = memo.cache_info()
     _log.debug("pullback memo over the sweep: %d hits, %d misses",
                after.hits - before.hits, after.misses - before.misses)
@@ -251,7 +246,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON config file (RunConfig fields)")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--cache", help="form cache directory")
-    parser.add_argument("--jobs", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("solve", help="locate cusp forms and cache them")
     sub.add_parser("sweep", help="run the configured sweep recipe")
@@ -263,8 +257,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
         cfg.validate()
         cfg.out_dir = args.out or cfg.out_dir
         cfg.cache_dir = eigen.resolve_cache_dir(args.cache, cfg.cache_dir)

@@ -9,9 +9,9 @@ squares.  Eigenvalues are zeros of a two-height coefficient mismatch.
 The grid scan of a bracket reads K_iR from a Chebyshev table in R per
 collocation (its arguments are fixed, only R varies; every node of a
 table comes from one ``bessel_k_imag_grid`` pass).  The collocation
-matrices are linear in the kernels, so they are tabled from it, and the
-scan solves the systems of its whole grid, both heights, in one stacked
-SVD.  Each of its sign changes is refined on those tables.  The exact
+matrices are linear in the kernels, so their table follows from it, and
+the scan solves the systems of its whole grid, both heights, in one
+stacked SVD.  Each of its sign changes is refined on those tables.  The exact
 kernel screens the table's root with one call (residual and two-height
 agreement, which bounds the exact mismatch there).  A candidate is
 confirmed by a sign change in the window around it at deeper
@@ -400,9 +400,8 @@ class _Collocation:
     """The collocation system at one horocycle height ``Y``: Q points
     pulled back into the fundamental domain, and every factor of the
     M0 x M0 system that does not depend on R, built once.  Its kernel
-    arguments ``u`` are one row per pulled-back point (``u_pull``) and a
-    last row for the horocycle (``u_y``); kernels are laid out the same
-    way."""
+    arguments ``u`` are one row per pulled-back point and a last row for
+    the horocycle (``u_y``); kernels are laid out the same way."""
 
     def __init__(self, Y, Q, M0, parity):
         xj = (np.arange(1, Q + 1) - 0.5) / (2.0 * Q)
@@ -411,7 +410,7 @@ class _Collocation:
         osc = np.cos if parity == "even" else np.sin
         self.u = np.vstack([2.0 * np.pi * np.outer(zs.imag, ns),
                             2.0 * np.pi * ns * Y])
-        self.u_pull, self.u_y = self.u[:-1], self.u[-1]
+        self.u_y = self.u[-1]
         self.sqrt_Y = np.sqrt(Y)
         self.sqrt_ys = np.sqrt(zs.imag)[:, None]
         self.osc_pull = osc(2.0 * np.pi * np.outer(zs.real, ns))
@@ -475,11 +474,11 @@ class _Locator:
         self.coll2 = _Collocation(y2, M0 + 12, M0, parity)
         self.tables = {} if tables is None else tables
 
-    def indicator(self, R, systems=(None, None)):
+    def indicator(self, R, systems=None):
         """The a_2 mismatch at R, the two-height agreement of a_1..a_8 and
         the worse residual, from the given collocation matrices of the
         two heights or else exact, solved in one stack."""
-        if systems[0] is None:
+        if systems is None:
             systems = np.stack([c.system(c.kernels(R))
                                 for c in (self.coll1, self.coll2)])
         (c1, c2), resid = _least_squares(systems)
@@ -548,27 +547,24 @@ class _Locator:
                 ga, side = (0.5 * ga if side > 0 else ga), 1
         return 0.5 * (a + b), calls
 
-    def roots(self, rs, tabled=None):
+    def roots(self, rs):
         """(a, b, R, screen) for each sign change [a, b] of the indicator
         over the grid ``rs``, in grid order, computed when it is reached:
-        R is refined from the scan's values at a and b on the indicator
-        the grid was scanned with (Chebyshev tables when ``tabled``, by
-        default when the grid has more points than a table has nodes, else
-        exact), and ``screen`` is the exact ``indicator(R)``, a tabled
-        scan's one exact call per sign change."""
-        if tabled is None:
-            tabled = len(rs) > _CHEB_NODES
-        kind = "table" if tabled else "exact"
-        gs, indicator = (self._table_scan(rs) if tabled else
-                         ([self.indicator(r)[0] for r in rs], self.indicator))
+        R is refined on the scan's Chebyshev tables from its values at a
+        and b, and ``screen`` is the exact ``indicator(R)``, the one exact
+        call per sign change.  A grid of fewer than two points has no
+        sign change and builds no table."""
+        if len(rs) < 2:
+            return
+        gs, indicator = self._table_scan(rs)
         for i in np.where(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]:
             a, b = rs[i], rs[i + 1]
             _log.debug("sign flip in [%.6f, %.6f]", a, b)
             r, calls = self.refine(indicator, a, b, (gs[i], gs[i + 1]))
             screen = self.indicator(r)
-            _log.debug("%s refinement to R=%.12f in %d %s indicator calls; "
-                       "exact screen: indicator %.1e, height agreement "
-                       "%.2e, residual %.2e", kind, r, calls, kind, *screen)
+            _log.debug("table refinement to R=%.12f in %d table indicator "
+                       "calls; exact screen: indicator %.1e, height "
+                       "agreement %.2e, residual %.2e", r, calls, *screen)
             yield a, b, r, screen
 
 
@@ -659,8 +655,7 @@ def hejhal_solve(r_bracket, parity="even", M0=14, y0=0.40) -> MaassForm:
             deep = _Locator(M0 + 8, par, y1=min(y0, 0.35), y2=0.28)
             _log.debug("M0+8 confirmation of R=%.12f", r_loc)
             found = next(deep.roots(np.array([r_loc - _WINDOW,
-                                              r_loc + _WINDOW]), tabled=True),
-                         None)
+                                              r_loc + _WINDOW])), None)
             if found is None:
                 reject(f"{cand} not confirmed at M0+8")
                 continue

@@ -349,14 +349,14 @@ def check_average_bound(tables, t_grid, growth_limit=AVERAGE_BOUND_LIMIT):
         passed=bool(g_t <= growth_limit and g_f <= growth_limit))
 
 
-def coefficient_family(phis, curves, n_range, t_grid, map=map,
+def coefficient_family(phis, curves, n_range, t_grid,
                        growth_limit=AVERAGE_BOUND_LIMIT):
-    """``coefficient_table`` of every (curve, form) pair, run by ``map``
-    (the builtin or an executor's), and the ``check_average_bound`` report
-    of each curve with two or more tables.  Returns ``(tables, reports)``:
-    tables curve by curve, forms in order; reports keyed by curve id."""
-    pairs = [(phi, curve) for curve in curves for phi in phis]
-    tables = list(map(lambda pair: coefficient_table(*pair, n_range), pairs))
+    """``coefficient_table`` of every (curve, form) pair and the
+    ``check_average_bound`` report of each curve with two or more tables.
+    Returns ``(tables, reports)``: tables curve by curve, forms in order;
+    reports keyed by curve id."""
+    tables = [coefficient_table(phi, curve, n_range)
+              for curve in curves for phi in phis]
     by_curve = {}
     for tb in tables:
         by_curve.setdefault(tb.curve_id, []).append(tb)

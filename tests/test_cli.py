@@ -43,8 +43,7 @@ def run_main(args, capsys):
 
 def test_config_roundtrip_identity():
     cfg = RunConfig(recipe="sphere-sharpness", sphere_degrees=[10, 40],
-                    tolerances={"table-integral-identity.rel_tol": 1e-9},
-                    jobs=2)
+                    tolerances={"table-integral-identity.rel_tol": 1e-9})
     text = cfg.to_json()
     again = RunConfig.from_json(text)
     assert again.to_json() == text
@@ -53,8 +52,6 @@ def test_config_roundtrip_identity():
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         RunConfig.from_json(json.dumps({"tolerances": {"x": -1.0}}))
-    with pytest.raises(ValueError):
-        RunConfig.from_json(json.dumps({"jobs": 0}))
     with pytest.raises(ValueError):
         RunConfig.from_json(json.dumps({"brackets": [[10.0, 9.0]]}))
     with pytest.raises(ValueError):
@@ -72,10 +69,12 @@ def test_density_lambda_whose_doubled_grid_fits_is_accepted():
                                         "lambdas": [34907]}))
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_jobs_flag_is_validated(jobs, capsys):
-    assert main(["--jobs", jobs, "sweep"]) == 2
-    assert "config error: jobs must be >= 1" in capsys.readouterr().err
+def test_jobs_flag_is_a_usage_error(capsys):
+    # a sweep runs on the calling thread; there is no flag to set a pool
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "1", "sweep"])
+    assert exc.value.code == 2
+    assert "geoperiods: error: " in capsys.readouterr().err
 
 
 def test_malformed_config_exits_2(tmp_path):
@@ -300,14 +299,15 @@ def test_outputs_follow_umask(tmp_path, first_form, monkeypatch, capsys):
     ("sweep", {"recipe": "density-regimes", "lambdas": ["x"]}),
     ("sweep", {"recipe": "density-regimes", "lambdas": [0]}),
     ("sweep", {"recipe": "density-regimes", "lambdas": [1e6]}),
-    ("sweep", {"jobs": 1.5}),
+    ("sweep", {"M0": 14.5}),
     ("verify", {"tolerances": {
         "test-vector-constants.t_values": [10.0, -1.0]}}),
     ("sweep", {"recipe": "density-regimes", "lambdas": [69000]}),
-    ("sweep", {"jobs": True}),
+    ("sweep", {"M0": True}),
     ("sweep", {"tolerances": [1]}),
     ("sweep", {"out_dir": 5}),
     ("sweep", {"cache_dir": 5}),
+    ("sweep", {"jobs": 1}),
 ])
 def test_bad_config_values_exit_2(command, config, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -319,7 +319,7 @@ def test_bad_config_values_exit_2(command, config, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_maass_sweep_bytes_independent_of_jobs(tmp_path, capsys):
+def test_maass_sweep_rerun_is_byte_identical(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"recipe": "maass-restriction",
                                "brackets": [[9.0, 10.0], [12.0, 12.7]],
@@ -327,11 +327,13 @@ def test_maass_sweep_bytes_independent_of_jobs(tmp_path, capsys):
                                "n_range": [-30, 30],
                                "cache_dir": os.path.abspath(CACHE_DIR)}))
     outputs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"out{jobs}"
+    # the first run from an empty pullback memo, the second from the
+    # memo it left
+    eigen.pullback.cache_clear()
+    for run in ("cold", "warm"):
+        out = tmp_path / run
         # exit 1 either way: the ratios grow more than 3x from T = 4 to 16
-        assert main(["--config", str(cfg), "--jobs", jobs, "--out", str(out),
-                     "sweep"]) == 1
+        assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 1
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert len(outputs[0]) == 5          # four period tables and the summary
     assert outputs[0] == outputs[1]

@@ -1,12 +1,9 @@
 import dataclasses
-import functools
 import glob
 import json
 import logging
 import os
-import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,8 +13,7 @@ from geoperiods.eigen import (CacheRecordError, NoEigenvalueError,
                               ReductionError, evaluate, laplace_residual,
                               pullback, sphere_harmonic, torus_mode)
 from geoperiods.hypgeom import orbit_from_spec
-from geoperiods.periods import (TABLE_GRID, coefficient_family,
-                                period_table_to_csv, report_to_json)
+from geoperiods.periods import TABLE_GRID
 from geoperiods.quad import periodic_fourier
 from geoperiods.specfun import bessel_k_imag, bessel_k_imag_grid
 
@@ -203,44 +199,6 @@ def test_pullback_memo_is_bounded():
     assert pullback.cache_info().currsize <= bound
 
 
-def _family_files(out, map=map):
-    """The CSV of every table and the reports' JSON of a
-    ``coefficient_family`` of the acceptance forms and curves (on a small
-    band and T grid) run by ``map``, as bytes by file name."""
-    phis = [eigen.as_eigenfunction(f)
-            for f in verify.acceptance_forms(CACHE_DIR)]
-    curves = [orbit_from_spec(spec) for spec in verify.ACCEPTANCE_CURVES]
-    tables, reports = coefficient_family(phis, curves, (-20, 20), (4, 8, 16),
-                                         map=map)
-    out.mkdir()
-    for k, tb in enumerate(tables):
-        period_table_to_csv(tb, out / f"table{k}.csv")
-    report_to_json(out / "summary.json", "modular", tables, reports)
-    return {p.name: p.read_bytes() for p in out.iterdir()}
-
-
-@pytest.fixture(scope="module")
-def builtin_family_files(tmp_path_factory):
-    return _family_files(tmp_path_factory.mktemp("family") / "builtin")
-
-
-@pytest.mark.parametrize("jobs", [2, 4])
-def test_threaded_family_matches_builtin_map(builtin_family_files, tmp_path,
-                                             jobs):
-    # every thread reads and fills the one pullback memo: from an empty
-    # memo, with switches forced often, the tables keep every bit
-    interval = sys.getswitchinterval()
-    pullback.cache_clear()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(jobs) as pool:
-            got = _family_files(tmp_path / "threads",
-                                functools.partial(pool.map, timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == builtin_family_files
-
-
 @pytest.mark.parametrize("record", COMMITTED_RECORDS, ids=os.path.basename)
 def test_kappa_table_matches_direct_series(record):
     # the K_iR table against the Fourier-Bessel series summed with
@@ -339,7 +297,7 @@ def test_collocation_table_matches_vandermonde_fit():
     table, tail = coll.table(rs[0], rs[-1])
     nodes = eigen._CHEB_NODES
     t = np.cos(np.pi * (np.arange(nodes) + 0.5) / nodes)
-    u = np.concatenate([coll.u_pull.ravel(), coll.u_y])
+    u = coll.u.ravel()
     lo, hi = rs[0], rs[-1]
     samples = bessel_k_imag_grid(0.5 * (hi + lo) + 0.5 * (hi - lo) * t, u)
     vander = np.polynomial.chebyshev.chebvander
@@ -689,7 +647,7 @@ def test_modular_value_far_below_the_fundamental_domain(first_form):
     assert v == first_form.value(pullback(z))
 
 
-def test_no_eigenvalue_bracket():
+def test_no_eigenvalue_bracket(monkeypatch):
     with pytest.raises(NoEigenvalueError):
         eigen.hejhal_solve((5.0, 5.5), parity="even")
     # the parity fallback reports why each parity found nothing
@@ -697,6 +655,13 @@ def test_no_eigenvalue_bracket():
         eigen.hejhal_solve((5.0, 5.5), parity="auto")
     assert "even: " in str(err.value)
     assert "odd: " in str(err.value)
+    # a bracket narrower than half a scan step is a one-point grid: it has
+    # no sign change and builds no table (one over [9.5, 9.5] would divide
+    # by its zero width)
+    monkeypatch.setattr(eigen._Collocation, "table", None)
+    with pytest.raises(NoEigenvalueError,
+                       match="odd: no sign change of the locator$"):
+        eigen.hejhal_solve((9.5, 9.503), parity="odd")
 
 
 def test_cold_solve_matches_committed_record(caplog):
@@ -811,10 +776,10 @@ def _count_exact_indicator_calls(monkeypatch):
     calls = []
     indicator = eigen._Locator.indicator
 
-    def counted(self, R, kernels=(None, None)):
-        if kernels[0] is None:
+    def counted(self, R, systems=None):
+        if systems is None:
             calls.append((id(self), R))
-        return indicator(self, R, kernels)
+        return indicator(self, R, systems)
 
     monkeypatch.setattr(eigen._Locator, "indicator", counted)
     return calls
@@ -850,7 +815,7 @@ def test_window_table_roots_match_exact_roots(monkeypatch, record):
     calls = _count_exact_indicator_calls(monkeypatch)
     deep = eigen._Locator(22, form.parity, 0.35, 0.28)
     window = np.array([form.R - eigen._WINDOW, form.R + eigen._WINDOW])
-    [(a, b, r, screen)] = deep.roots(window, tabled=True)
+    [(a, b, r, screen)] = deep.roots(window)
     assert calls == [(id(deep), r)]
     assert screen == deep.indicator(r)
     r_exact, _ = deep.refine(deep.indicator, a, b)
@@ -874,12 +839,26 @@ def test_cold_solve_evaluates_no_exact_kernel_twice(monkeypatch):
 
 
 def test_narrow_bracket_evaluates_no_exact_point_twice(monkeypatch):
-    # a bracket of at most 24 grid points is scanned exactly; the refinement
-    # of its sign change starts from the scan's end values
+    # a bracket of 18 grid points is scanned on tables like any other: one
+    # per collocation height over the bracket, then the M0+8 window's pair;
+    # the only exact indicator calls are the screens of the table roots
     calls = _count_exact_indicator_calls(monkeypatch)
+    built, screened = [], []
+    table, roots = eigen._Collocation.table, eigen._Locator.roots
+    monkeypatch.setattr(eigen._Collocation, "table", lambda self, lo, hi:
+                        built.append((lo, hi)) or table(self, lo, hi))
+
+    def recorded(self, rs):
+        for found in roots(self, rs):
+            screened.append((id(self), found[2]))
+            yield found
+
+    monkeypatch.setattr(eigen._Locator, "roots", recorded)
     form = eigen.hejhal_solve((9.45, 9.62), parity="odd")
     assert abs(form.R - 9.533695261345919) < 1e-9
-    assert len(set(calls)) == len(calls)
+    assert len(built) == 4
+    assert np.allclose(built[:2], [(9.45, 9.62)] * 2, rtol=0, atol=1e-12)
+    assert calls == screened
 
 
 @pytest.mark.parametrize("setting, reason", [

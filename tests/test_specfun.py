@@ -280,7 +280,7 @@ def test_bessel_grid_matches_exact_kernel(bracket, bound, caplog):
     for y, q, m0 in [(0.40, 26, 14), (0.35, 26, 14), (0.35, 34, 22),
                      (0.28, 34, 22)]:
         coll = eigen._Collocation(y, q, m0, "even")
-        u = np.concatenate([coll.u_pull.ravel(), coll.u_y])
+        u = coll.u.ravel()
         with caplog.at_level(logging.DEBUG, logger="geoperiods.specfun"):
             got = bessel_k_imag_grid(rs, u)
         rungs = caplog.records[-1].getMessage().partition("Gauss rungs ")[2]
