@@ -256,8 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        cfg.validate()
+        cfg = load_config(args.config) if args.config else RunConfig().validate()
         cfg.out_dir = args.out or cfg.out_dir
         cfg.cache_dir = eigen.resolve_cache_dir(args.cache, cfg.cache_dir)
     except (OSError, ValueError, TypeError, KeyError) as exc:

@@ -516,16 +516,14 @@ class _Locator:
                 lambda r: self.indicator(r, table(r)))
 
     @staticmethod
-    def refine(indicator, a, b, ends=None):
+    def refine(indicator, a, b, ends):
         """The zero in [a, b] of ``indicator(R)[0]`` by Illinois regula
         falsi (Dowell-Jarratt 1971) down to ``_ROOT_WIDTH``, or None when
         the signs at a and b do not differ, and the number of indicator
-        calls made.  ``ends`` are the values at a and b when the caller has
-        them.  A step bisects when the last three did not halve the
-        bracket: at most 4x bisection's steps."""
+        calls made.  ``ends`` are the values at a and b.  A step bisects
+        when the last three did not halve the bracket: at most 4x
+        bisection's steps."""
         calls = 0
-        if ends is None:
-            ends, calls = (indicator(a)[0], indicator(b)[0]), 2
         ga, gb = ends
         if not ga * gb < 0:
             return None, calls

@@ -2,7 +2,8 @@
 
 One engine per job: a tanh-sinh (double-exponential) rule on finite
 intervals, which integrates algebraic endpoint singularities as they are
-and splits the interval at a declared interior one, an FFT
+and splits the interval at a declared interior one, for one integrand or
+a batch of them on the same interval, an FFT
 trapezoid rule with doubling for the Fourier coefficients of a smooth
 1-periodic integrand on [0, 1) (the mean is coefficient 0,
 ``periodic_fourier(f, 0)[0][0]``), and a composite oscillatory integrator
@@ -77,8 +78,14 @@ def _nodes(lo, hi, e, c):
             np.concatenate([w[near], w[far]]))
 
 
+def _cabs(z):
+    """|z| as the scalar ``abs`` gives it: numpy's array ``abs`` of complex
+    numbers takes a vector path that can differ in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
 def integrate_adaptive(f, a, b, singular_exponent_at=None,
-                       rel_tol=1e-10, budget=200_000):
+                       rel_tol=1e-10, budget=200_000, batch=None):
     """Tanh-sinh (double-exponential) integration of ``f`` on [a, b].
 
     The trapezoid rule in t of x = (1 + tanh(pi/2 sinh t))/2 on [0, 1],
@@ -95,51 +102,89 @@ def integrate_adaptive(f, a, b, singular_exponent_at=None,
     finite.  Returns a QuadratureResult; raises ConvergenceError carrying
     the best estimate when the evaluation budget or the halvings run out,
     or when the sum is not finite.
+
+    ``batch = m`` integrates m integrands over [a, b] at once: ``f(x,
+    rows)`` returns a (len(rows), len(x)) array, the integrands of the
+    rows (indices into range(m)) still refining, and each row stops at
+    the level where it alone converges, with the value and error estimate
+    its own scalar call gives, to the bit.  ``alpha`` may hold one
+    exponent per row.  The budget, the halvings and the finiteness hold
+    per row: the first row to break one raises, named in the message, and
+    the error carries every row's best estimate.  The result's value and
+    error estimate are then arrays of m, and ``evaluations`` the total
+    over the rows.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError(f"integrate_adaptive: a non-finite end in [{a}, {b}]")
     edges = [a, b]
     if singular_exponent_at is not None:
         point, alpha = singular_exponent_at
-        if alpha <= -1.0:
-            raise ValueError(f"singular exponent {alpha:g} <= -1 is not integrable")
+        if np.any(np.asarray(alpha) <= -1.0):
+            worst = float(np.min(alpha))
+            raise ValueError(f"singular exponent {worst:g} <= -1 is not integrable")
         if not (a <= point <= b):
             raise ValueError("declared singularity lies outside the interval")
         edges = [a, point, b]
-    total = 0.0 + 0.0j
-    err = 0.0
-    neval = 0
+    scalar = batch is None
+    if scalar:
+        fn, batch = f, 1
+
+        def f(x, rows):
+            return fn(x)
+    total = np.zeros(batch, dtype=complex)
+    err = np.zeros(batch)
+    neval = np.zeros(batch, dtype=np.int64)
+
+    def fail(row, message, s, change):
+        best = total + s
+        if scalar:
+            best, change = best[0], change[0]
+        else:
+            message = f"row {row}: {message}"
+        raise ConvergenceError(f"integrate_adaptive: {message}", best=best,
+                               error_estimate=change)
+
     for lo, hi in zip(edges, edges[1:]):
         if lo == hi:
             continue
-        s, change = 0.0, np.inf
+        s = np.zeros(batch, dtype=complex)
+        change = np.full(batch, np.inf)
+        live = np.arange(batch)
         for k in range(_MAX_HALVINGS + 1):
             x, w = _nodes(lo, hi, *_level(k))
-            if neval + x.size > budget:
-                raise ConvergenceError(
-                    f"integrate_adaptive: budget {budget} exhausted "
-                    f"(error estimate {change:.2e})",
-                    best=total + s, error_estimate=change)
-            part = np.sum(w * np.asarray(f(x), dtype=complex))
-            neval += x.size
-            if not np.isfinite(part):
-                raise ConvergenceError(
-                    f"integrate_adaptive: the sum is not finite at level {k} "
-                    f"after {neval} evaluations (error estimate {change:.2e} "
-                    f"at the level before)", best=total + s,
-                    error_estimate=change)
-            change = abs(part - 0.5 * s)        # level k less level k - 1
-            s = 0.5 * s + part
-            if k and change <= max(_ABS_TOL, rel_tol * abs(s)):
-                break
+            over = neval[live] + x.size > budget
+            if over.any():
+                row = live[np.argmax(over)]
+                fail(row, f"budget {budget} exhausted (error estimate "
+                     f"{change[row]:.2e})", s, change)
+            vals = np.broadcast_to(np.asarray(f(x, live), dtype=complex),
+                                   (live.size, x.size))
+            part = np.sum(w * vals, axis=1)
+            neval[live] += x.size
+            bad = ~np.isfinite(part)
+            if bad.any():
+                row = live[np.argmax(bad)]
+                fail(row, f"the sum is not finite at level {k} after "
+                     f"{neval[row]} evaluations (error estimate "
+                     f"{change[row]:.2e} at the level before)", s, change)
+            change[live] = _cabs(part - 0.5 * s[live])    # level k less k - 1
+            s[live] = 0.5 * s[live] + part
+            if k:
+                live = live[change[live] > np.maximum(
+                    _ABS_TOL, rel_tol * _cabs(s[live]))]
+                if not live.size:
+                    break
         else:
-            raise ConvergenceError(
-                f"integrate_adaptive: no agreement to {rel_tol:g} after "
-                f"{_MAX_HALVINGS} halvings (error estimate {change:.2e})",
-                best=total + s, error_estimate=change)
+            row = live[0]
+            fail(row, f"no agreement to {rel_tol:g} after {_MAX_HALVINGS} "
+                 f"halvings (error estimate {change[row]:.2e})", s, change)
         total += s
         err += change
-    return QuadratureResult(value=total, error_estimate=err, evaluations=neval)
+    evaluations = int(neval.sum())
+    if scalar:
+        total, err = total[0], err[0]
+    return QuadratureResult(value=total, error_estimate=err,
+                            evaluations=evaluations)
 
 
 # ---------------------------------------------------------------------------

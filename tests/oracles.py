@@ -14,6 +14,9 @@ takes in closed form.
 tested for.
 ``planted_stream`` draws and synthesizes criterion 07's plants one index
 at a time, the reference for ``verify.planted_basis``.
+``table_integral_pairs`` runs criterion 02 one pair at a time, with a
+scalar closed form and two scalar quadratures per pair, the reference for
+the check's batches.
 ``maass_value_termwise`` sums a cusp form's whole Fourier-Bessel series,
 the reference for ``MaassForm.value``, which stops at the K_iR table's
 end.
@@ -31,7 +34,8 @@ import numpy as np
 from geoperiods.eigen import pullback
 from geoperiods.hypgeom import GroupElement
 from geoperiods.modelrep import circle_log_jacobian
-from geoperiods.specfun import DomainError
+from geoperiods.quad import integrate_adaptive
+from geoperiods.specfun import DomainError, table_integral
 
 
 # ------------------------------------------------------------- phase scan
@@ -270,6 +274,34 @@ def planted_stream(rng, dens, n_plants):
             samples += a * dens.entry(n) * np.exp(2j * np.pi * n * theta)
         plants.append((planted, samples))
     return plants
+
+
+# ------------------------------------------------------ table integrals
+
+
+def table_integral_pairs(n_samples, seed):
+    """Criterion 02 pair by pair: (details, worst rel) of the closed form
+    ``table_integral(s, t)`` against the tanh-sinh integrals of
+    |x|^s (1+x^2)^t on [0, 1] and, after x = 1/u, on [1, inf), over the
+    pair s = 0, t = -1 (against pi) and ``n_samples`` seeded pairs."""
+    def half_line(q, t):
+        # int_0^1 x^q (1+x^2)^t dx; q = s, and q = -s-2-2t after x = 1/u
+        return integrate_adaptive(
+            lambda x: np.exp(q * np.log(x) + t * np.log1p(x * x)), 0.0, 1.0,
+            singular_exponent_at=(0.0, q.real), rel_tol=1e-11).value
+
+    worst = abs(table_integral(0.0, -1.0) - np.pi) / np.pi
+    worst_at = "s=0,t=-1"
+    rng = np.random.default_rng(seed)
+    for _ in range(n_samples):
+        s = complex(rng.uniform(-0.9, 2.0), rng.uniform(-5.0, 5.0))
+        t = complex(rng.uniform(-4.0, -(s.real + 1.0) / 2.0 - 0.25),
+                    rng.uniform(-5.0, 5.0))
+        ref = 2.0 * (half_line(s, t) + half_line(-s - 2.0 - 2.0 * t, t))
+        rel = abs(table_integral(s, t) - ref) / abs(ref)
+        if rel > worst:
+            worst, worst_at = rel, f"s={s:.3f},t={t:.3f}"
+    return f"{n_samples + 1} pairs, worst rel {worst:.2e} at {worst_at}", worst
 
 
 # ------------------------------------------------------ tables and reports

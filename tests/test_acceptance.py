@@ -10,7 +10,7 @@ import numpy as np
 from geoperiods import verify
 
 from conftest import CACHE_DIR
-from oracles import planted_stream, summary_lines
+from oracles import planted_stream, summary_lines, table_integral_pairs
 
 
 def _run(name):
@@ -33,12 +33,28 @@ def test_criterion_02_table_integral_identity():
     _run("table-integral-identity")
 
 
+def test_criterion_02_batches_equal_the_pair_by_pair_check():
+    # one closed-form call and one oracle batch per half-line give the
+    # details and the worst rel, to the bit, of a scalar call per pair
+    res = verify.check_table_integral(n_samples=20)
+    details, worst = table_integral_pairs(20, 20260810)
+    assert res.details == details
+    assert res.extras["worst_rel"] == worst
+
+
 def test_criterion_03_geodesic_three_regime_envelopes():
     _run("geodesic-three-regime-envelopes")
 
 
 def test_criterion_04_circle_regime_exponents():
     _run("circle-regime-exponents")
+
+
+def test_criterion_04_median_is_numpys():
+    rng = np.random.default_rng(4)
+    for size in (1, 2, 7, 40):
+        a = rng.lognormal(size=size)
+        assert verify._median(a) == np.median(a)
 
 
 def test_criterion_05_sphere_equator_sharpness():

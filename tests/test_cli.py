@@ -18,7 +18,8 @@ from conftest import CACHE_DIR
 
 # Most tests call ``main`` in this process.  Two launch the real
 # ``python -m geoperiods.cli`` entry point through ``run_cli``: the
-# malformed-config exit and one density sweep.  The child runs in
+# malformed-config exit and one density sweep; one more checks a fresh
+# interpreter's modules through ``run_python``.  The child runs in
 # tmp_path, where a relative PYTHONPATH (such as ``src``) no longer
 # resolves, so the directory that holds the imported package goes first
 # on the child's path.
@@ -26,12 +27,16 @@ PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
     geoperiods.__file__)))
 
 
-def run_cli(args, cwd):
+def run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "geoperiods.cli"] + args,
-                          cwd=cwd, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable] + args, cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def run_cli(args, cwd):
+    return run_python(["-m", "geoperiods.cli"] + args, cwd)
 
 
 def run_main(args, capsys):
@@ -151,6 +156,21 @@ def test_verify_subset_pass_and_forced_failure(tmp_path, monkeypatch, capsys):
     res = run_main(["--config", str(cfg), "verify"], capsys)
     assert res.returncode == 1, res.stdout + res.stderr
     assert "[FAIL] table-integral-identity" in res.stdout
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma costs about 11 ms to import; np.unique and np.median pull
+    # it in, so neither the import, a K_iR call nor criterion 04's
+    # median may use them
+    code = ("import sys\n"
+            "import geoperiods.cli\n"
+            "from geoperiods import specfun, verify\n"
+            "specfun.bessel_k_imag(9.5, [0.05, 1.0, 9.0, 30.0])\n"
+            "assert verify.check_circle_regimes().passed\n"
+            "print('numpy.ma' in sys.modules)\n")
+    res = run_python(["-c", code], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
 
 
 def test_planted_roundtrip_with_nothing_planted_fails(tmp_path, capsys):

@@ -799,7 +799,8 @@ def test_table_roots_match_exact_roots(monkeypatch, bracket):
             flips += 1
             assert calls == [(id(loc), r)]
             assert screen == loc.indicator(r)
-            r_exact, _ = loc.refine(loc.indicator, a, b)
+            r_exact, _ = loc.refine(loc.indicator, a, b,
+                                    (loc.indicator(a)[0], loc.indicator(b)[0]))
             assert abs(r - r_exact) < 1e-11
             calls.clear()
     assert flips >= 1
@@ -818,7 +819,8 @@ def test_window_table_roots_match_exact_roots(monkeypatch, record):
     [(a, b, r, screen)] = deep.roots(window)
     assert calls == [(id(deep), r)]
     assert screen == deep.indicator(r)
-    r_exact, _ = deep.refine(deep.indicator, a, b)
+    r_exact, _ = deep.refine(deep.indicator, a, b,
+                             (deep.indicator(a)[0], deep.indicator(b)[0]))
     assert abs(r - r_exact) < 1e-11
 
 
@@ -896,20 +898,19 @@ def test_window_root_the_exact_kernel_does_not_show_is_rejected(monkeypatch):
 
 def test_illinois_refinement_reaches_the_root_width():
     # a flat cubic root, the slow case for regula falsi; bisection from a
-    # width-1 bracket would need 41 steps (the count includes the two end
-    # evaluations)
+    # width-1 bracket would need 41 steps, counting the two end values;
+    # given the end values, it evaluates neither end
     root = 0.3 + 1 / 7
     f = lambda r: (r - root) ** 3 + 1e-6 * (r - root)
     calls = []
     r, n = eigen._Locator.refine(lambda r: calls.append(r) or (f(r),),
-                                 0.0, 1.0)
+                                 0.0, 1.0, (f(0.0), f(1.0)))
     assert abs(r - root) < eigen._ROOT_WIDTH
-    assert n == len(calls) < np.log2(1.0 / eigen._ROOT_WIDTH)
-    # given end values, it evaluates neither end
-    calls.clear()
-    assert eigen._Locator.refine(lambda r: calls.append(r) or (f(r),),
-                                 0.0, 1.0, (f(0.0), f(1.0))) == (r, n - 2)
+    assert n == len(calls) < np.log2(1.0 / eigen._ROOT_WIDTH) - 2
     assert 0.0 not in calls and 1.0 not in calls
+    # no sign change: no root, and no indicator call
+    assert eigen._Locator.refine(lambda r: calls.append(r) or (f(r),),
+                                 0.5, 1.0, (f(0.5), f(1.0))) == (None, 0)
 
 
 def test_solver_input_validation():

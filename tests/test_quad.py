@@ -118,6 +118,83 @@ def test_adaptive_linearity():
     assert abs(both.value - (2 * a1 - 0.5 * a2)) < 1e-10
 
 
+# ------------------------------------------------------ adaptive batches
+
+ALPHAS = np.array([-0.5, 0.0, 0.7, 2.0, -0.9])
+RATES = np.array([1.0, 3j, -2.0, 0.5 + 1j, 0.0])
+
+
+def _row(j):
+    return lambda x: x ** ALPHAS[j] * np.exp(RATES[j] * x)
+
+
+def _needle(x):
+    return 1.0 / (1e-12 + (x - 0.321) ** 2)
+
+
+def _batch(*fs):
+    """The batch integrand of the scalar integrands ``fs``, which records
+    the live rows of each call."""
+    calls = []
+
+    def f(x, rows):
+        calls.append((rows.copy(), x.size))
+        return np.array([np.broadcast_to(fs[j](x), x.shape) for j in rows])
+    return f, calls
+
+
+@pytest.mark.parametrize("declared", [False, True])
+def test_adaptive_batch_rows_equal_their_scalar_calls(declared):
+    # each row's value and error estimate are its scalar call's, to the
+    # bit, though the rows stop at different levels; rows that have
+    # stopped are no longer evaluated
+    f, calls = _batch(*map(_row, range(len(ALPHAS))))
+    sing = (lambda a: (0.0, a)) if declared else (lambda a: None)
+    batch = integrate_adaptive(f, 0.0, 1.0, singular_exponent_at=sing(ALPHAS),
+                               rel_tol=1e-11, batch=len(ALPHAS))
+    scalar = [integrate_adaptive(_row(j), 0.0, 1.0,
+                                 singular_exponent_at=sing(ALPHAS[j]),
+                                 rel_tol=1e-11) for j in range(len(ALPHAS))]
+    assert batch.value.tolist() == [r.value for r in scalar]
+    assert batch.error_estimate.tolist() == [r.error_estimate for r in scalar]
+    evaluations = [r.evaluations for r in scalar]
+    assert len(set(evaluations)) > 1
+    assert isinstance(batch.evaluations, int)
+    assert batch.evaluations == sum(evaluations) == sum(
+        rows.size * n for rows, n in calls)
+    for (before, _), (after, _) in zip(calls, calls[1:]):
+        assert set(after) <= set(before)
+
+
+@pytest.mark.parametrize("budget, match", [
+    (900, "row 1: budget 900 exhausted"),
+    (200_000, "row 1: no agreement to 1e-10 after 12 halvings")])
+def test_adaptive_batch_budget_and_halvings_hold_per_row(budget, match):
+    # the constant row converges; the needle runs out, and the error keeps
+    # both rows' best estimates
+    f, _ = _batch(np.ones_like, _needle)
+    with pytest.raises(ConvergenceError, match=match) as exc:
+        integrate_adaptive(f, 0.0, 1.0, budget=budget, batch=2)
+    assert exc.value.best.shape == exc.value.error_estimate.shape == (2,)
+    assert exc.value.best[0] == integrate_adaptive(np.ones_like, 0.0, 1.0).value
+
+
+def test_adaptive_batch_non_finite_sum_raises():
+    f, _ = _batch(np.ones_like, lambda x: 1.0 / x)
+    with pytest.raises(ConvergenceError, match="row 1: the sum is not finite"):
+        with np.errstate(all="ignore"):
+            integrate_adaptive(f, 0.0, 1.0, batch=2)
+
+
+def test_adaptive_batch_rejects_a_non_integrable_exponent():
+    def f(x, rows):
+        raise AssertionError("sampled a non-integrable batch")
+
+    with pytest.raises(ValueError, match="exponent -1 <= -1"):
+        integrate_adaptive(f, 0.0, 1.0, batch=3,
+                           singular_exponent_at=(0.0, np.array([-0.5, -1.0, 0.0])))
+
+
 # --------------------------------------------------------------- periodic
 
 def periodic_mean(f):

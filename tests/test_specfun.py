@@ -89,6 +89,26 @@ def test_table_integral_divergence_boundary():
         table_integral(-1.0, -2.0)
 
 
+def test_table_integral_arrays_equal_scalar_calls():
+    rng = np.random.default_rng(11)
+    s = rng.uniform(-0.9, 2.0, (3, 4)) + 1j * rng.uniform(-5.0, 5.0, (3, 4))
+    t = (rng.uniform(-4.0, -(s.real + 1.0) / 2.0 - 0.25)
+         + 1j * rng.uniform(-5.0, 5.0, (3, 4)))
+    out = table_integral(s, t)
+    assert out.shape == (3, 4)
+    assert out.tolist() == [[table_integral(complex(a), complex(b))
+                             for a, b in zip(ra, rb)] for ra, rb in zip(s, t)]
+    assert type(table_integral(0.5, -2.0)) is complex
+
+
+def test_table_integral_array_domain_error_names_the_pair():
+    with pytest.raises(DomainError, match=r"diverges at infinity at s=0j, "
+                                          r"t=\(-0.5\+0j\)"):
+        table_integral(np.zeros(2), [-1.0, -0.5])
+    with pytest.raises(DomainError, match=r"diverges at 0 at s=\(-1\+0j\)"):
+        table_integral([0.0, -1.0], -3.0)
+
+
 def test_table_integral_oscillatory_vs_quadrature():
     s, t = 3.0j, -1.0
 
