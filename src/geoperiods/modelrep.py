@@ -84,14 +84,12 @@ class ModelVector:
     """A compactly supported vector in the line realization.
 
     ``evaluator`` maps a float array to complex values; they vanish for
-    |x| outside ``support = (lo, hi)``, 0 < lo < hi.  ``even`` marks
-    v(-x) = v(x).
+    |x| outside ``support = (lo, hi)``, 0 < lo < hi.
     """
 
     param: SpectralParam
     evaluator: Callable
     support: tuple
-    even: bool = False
 
     def __post_init__(self):
         if self.support is None or not 0 < self.support[0] < self.support[1]:
@@ -157,14 +155,12 @@ def model_functional(param: SpectralParam, s: complex, v: ModelVector):
     beta = 0.5 * (s.imag - param.lam.imag)
     lo, hi = np.log(v.support)
 
-    def amp_ph(u):
+    def f(u):
         x = np.exp(u)
-        vals = v(x) + (v(x) if v.even else v(-x))
-        w = np.exp(0.5 * u) * vals
-        return np.abs(w), beta * u + np.angle(w + 0j)
+        return np.exp(0.5 * u) * (v(x) + v(-x)) * np.exp(1j * (beta * u))
 
     fmax = abs(beta) / (2 * np.pi)
-    return quad.oscillatory_integral(amp_ph, lo, hi, max(fmax, 0.5)).value
+    return quad.oscillatory_integral(f, lo, hi, max(fmax, 0.5)).value
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +346,16 @@ def test_vector(T: float, param: SpectralParam) -> ModelVector:
 
     lo = 1.0 - 0.1 / T
     hi = 1.0 + 0.1 / T
-    return ModelVector(param=param, evaluator=ev, support=(lo, hi), even=True)
+    return ModelVector(param=param, evaluator=ev, support=(lo, hi))
 
 
 def vector_norm_sq(v: ModelVector) -> float:
     """Unitary-model squared norm of a line vector: (1/pi) int_R |v|^2 dx
     (equals the circle-model (1/2pi) int |f|^2 dphi)."""
     def sq(x):
-        return np.abs(v(x)) ** 2
+        return np.abs(v(x)) ** 2 + np.abs(v(-x)) ** 2
 
-    lo, hi = v.support
-    half = quad.integrate_adaptive(sq, lo, hi).value.real
-    other = half if v.even else quad.integrate_adaptive(sq, -hi, -lo).value.real
-    return float((half + other) / np.pi)
+    return float(quad.integrate_adaptive(sq, *v.support).value.real / np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Quadrature engines.
 
-One engine per job: a tanh-sinh (double-exponential) rule on finite
-intervals, which integrates algebraic endpoint singularities as they are
-and splits the interval at a declared interior one, for one integrand or
+One engine per job: a tanh-sinh (double-exponential) rule on a finite
+interval, which integrates algebraic endpoint singularities as they are
+(a caller splits the interval at an interior one), for one integrand or
 a batch of them on the same interval, an FFT
 trapezoid rule with doubling for the Fourier coefficients of a smooth
 1-periodic integrand on [0, 1) (the mean is coefficient 0,
 ``periodic_fourier(f, 0)[0][0]``), and a composite oscillatory integrator
-on uniform 32-point Gauss panels, as many as the caller's bound
-``freq_max`` on the phase frequency needs for 8 points per cycle.
+on uniform 32-point Gauss panels for a complex integrand, as many as the
+caller's bound ``freq_max`` on its phase frequency needs for 8 points
+per cycle.
 ``modelrep.model_functional`` runs the oscillatory integrator in u = ln x
 over the support of a compactly supported vector.
 
@@ -89,19 +90,20 @@ def integrate_adaptive(f, a, b, singular_exponent_at=None,
     """Tanh-sinh (double-exponential) integration of ``f`` on [a, b].
 
     The trapezoid rule in t of x = (1 + tanh(pi/2 sinh t))/2 on [0, 1],
-    scaled to each piece, on |t| <= 6.6: the step halves from 1 until
-    two levels agree to ``rel_tol`` (or to 1e-14 absolutely), up to 12
+    scaled to [a, b], on |t| <= 6.6: the step halves from 1 until two
+    levels agree to ``rel_tol`` (or to 1e-14 absolutely), up to 12
     halvings, and the last change is the error estimate (Takahasi and
     Mori 1974; Mori and Sugihara 2001).  Algebraic endpoint singularities
     need no substitution: nodes crowd at both ends, and only a node whose
     x would round onto its end is dropped.
 
     ``singular_exponent_at = (point, alpha)`` declares a singularity
-    ``|x - point|^alpha``; it checks that alpha > -1 and that the point
-    lies in [a, b], and splits the interval there.  The ends must be
-    finite.  Returns a QuadratureResult; raises ConvergenceError carrying
-    the best estimate when the evaluation budget or the halvings run out,
-    or when the sum is not finite.
+    ``|x - point|^alpha`` at an end: it checks that alpha > -1 and that
+    the point is ``a`` or ``b``; a singularity inside the interval is the
+    caller's to split at.  The ends must be finite.  Returns a
+    QuadratureResult; raises ConvergenceError carrying the best estimate
+    when the evaluation budget or the halvings run out, or when the sum
+    is not finite.
 
     ``batch = m`` integrates m integrands over [a, b] at once: ``f(x,
     rows)`` returns a (len(rows), len(x)) array, the integrands of the
@@ -116,75 +118,62 @@ def integrate_adaptive(f, a, b, singular_exponent_at=None,
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError(f"integrate_adaptive: a non-finite end in [{a}, {b}]")
-    edges = [a, b]
     if singular_exponent_at is not None:
         point, alpha = singular_exponent_at
         if np.any(np.asarray(alpha) <= -1.0):
             worst = float(np.min(alpha))
             raise ValueError(f"singular exponent {worst:g} <= -1 is not integrable")
-        if not (a <= point <= b):
-            raise ValueError("declared singularity lies outside the interval")
-        edges = [a, point, b]
+        if point not in (a, b):
+            raise ValueError(f"declared singularity at {point} is not an end "
+                             f"of [{a}, {b}]; split the interval there")
     scalar = batch is None
     if scalar:
         fn, batch = f, 1
 
         def f(x, rows):
             return fn(x)
-    total = np.zeros(batch, dtype=complex)
-    err = np.zeros(batch)
+    s = np.zeros(batch, dtype=complex)
+    change = np.full(batch, np.inf)
     neval = np.zeros(batch, dtype=np.int64)
+    live = np.arange(batch)
 
-    def fail(row, message, s, change):
-        best = total + s
-        if scalar:
-            best, change = best[0], change[0]
-        else:
-            message = f"row {row}: {message}"
-        raise ConvergenceError(f"integrate_adaptive: {message}", best=best,
-                               error_estimate=change)
+    def out(rows):          # a scalar call's rows are its one value
+        return rows[0] if scalar else rows
 
-    for lo, hi in zip(edges, edges[1:]):
-        if lo == hi:
-            continue
-        s = np.zeros(batch, dtype=complex)
-        change = np.full(batch, np.inf)
-        live = np.arange(batch)
-        for k in range(_MAX_HALVINGS + 1):
-            x, w = _nodes(lo, hi, *_level(k))
-            over = neval[live] + x.size > budget
-            if over.any():
-                row = live[np.argmax(over)]
-                fail(row, f"budget {budget} exhausted (error estimate "
-                     f"{change[row]:.2e})", s, change)
-            vals = np.broadcast_to(np.asarray(f(x, live), dtype=complex),
-                                   (live.size, x.size))
-            part = np.sum(w * vals, axis=1)
-            neval[live] += x.size
-            bad = ~np.isfinite(part)
-            if bad.any():
-                row = live[np.argmax(bad)]
-                fail(row, f"the sum is not finite at level {k} after "
-                     f"{neval[row]} evaluations (error estimate "
-                     f"{change[row]:.2e} at the level before)", s, change)
-            change[live] = _cabs(part - 0.5 * s[live])    # level k less k - 1
-            s[live] = 0.5 * s[live] + part
-            if k:
-                live = live[change[live] > np.maximum(
-                    _ABS_TOL, rel_tol * _cabs(s[live]))]
-                if not live.size:
-                    break
-        else:
-            row = live[0]
-            fail(row, f"no agreement to {rel_tol:g} after {_MAX_HALVINGS} "
-                 f"halvings (error estimate {change[row]:.2e})", s, change)
-        total += s
-        err += change
-    evaluations = int(neval.sum())
-    if scalar:
-        total, err = total[0], err[0]
-    return QuadratureResult(value=total, error_estimate=err,
-                            evaluations=evaluations)
+    def fail(row, message):
+        where = "" if scalar else f"row {row}: "
+        raise ConvergenceError(f"integrate_adaptive: {where}{message}",
+                               best=out(s), error_estimate=out(change))
+
+    for k in range(_MAX_HALVINGS + 1):
+        x, w = _nodes(a, b, *_level(k))
+        over = neval[live] + x.size > budget
+        if over.any():
+            row = live[np.argmax(over)]
+            fail(row, f"budget {budget} exhausted (error estimate "
+                 f"{change[row]:.2e})")
+        vals = np.broadcast_to(np.asarray(f(x, live), dtype=complex),
+                               (live.size, x.size))
+        part = np.sum(w * vals, axis=1)
+        neval[live] += x.size
+        bad = ~np.isfinite(part)
+        if bad.any():
+            row = live[np.argmax(bad)]
+            fail(row, f"the sum is not finite at level {k} after "
+                 f"{neval[row]} evaluations (error estimate "
+                 f"{change[row]:.2e} at the level before)")
+        change[live] = _cabs(part - 0.5 * s[live])    # level k less k - 1
+        s[live] = 0.5 * s[live] + part
+        if k:
+            live = live[change[live] > np.maximum(
+                _ABS_TOL, rel_tol * _cabs(s[live]))]
+            if not live.size:
+                break
+    else:
+        fail(live[0], f"no agreement to {rel_tol:g} after {_MAX_HALVINGS} "
+             f"halvings (error estimate {change[live[0]]:.2e})")
+    return QuadratureResult(value=out(s), error_estimate=out(change),
+                            evaluations=int(neval.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +204,7 @@ def periodic_fourier(f, n_max, n_start=None):
                 f"of {FOURIER_MAX_GRID}", best=prev)
         theta = np.arange(n) / n
         vals = np.asarray(f(theta), dtype=complex)
-        c = np.fft.fft(vals) / n
-        idx = np.concatenate([np.arange(-n_max, 0) + n, np.arange(0, n_max + 1)])
-        cur = c[idx]
+        cur = (np.fft.fft(vals) / n)[np.arange(-n_max, n_max + 1) % n]
         neval += n
         if prev is not None:
             change = float(np.max(np.abs(cur - prev)))
@@ -235,13 +222,14 @@ def periodic_fourier(f, n_max, n_start=None):
 _gl32 = np.polynomial.legendre.leggauss(32)
 
 
-def oscillatory_integral(amplitude_phase, a, b, freq_max):
-    """``int_a^b A(u) e^{i phi(u)} du`` by composite 32-point Gauss panels.
+def oscillatory_integral(f, a, b, freq_max):
+    """``int_a^b f(u) du`` of an oscillating ``f`` by composite 32-point
+    Gauss panels.
 
-    ``amplitude_phase(u) -> (A, phi)`` evaluates amplitude and phase on an
-    array; ``freq_max`` bounds |phi'|/(2 pi) so panels resolve the fastest
-    oscillation at 8 points per cycle.  One refinement pass (x1.5 panels)
-    supplies the error estimate.
+    ``f(u)`` evaluates the (complex) integrand on an array; ``freq_max``
+    bounds its phase frequency |phi'|/(2 pi) so panels resolve the
+    fastest oscillation at 8 points per cycle.  One refinement pass
+    (x1.5 panels) supplies the error estimate.
     """
     x32, w32 = _gl32
 
@@ -252,13 +240,10 @@ def oscillatory_integral(amplitude_phase, a, b, freq_max):
         h = 0.5 * np.diff(edges)
         m = 0.5 * (edges[1:] + edges[:-1])
         u = (m[:, None] + h[:, None] * x32[None, :]).ravel()
-        amp, ph = amplitude_phase(u)
-        f = (np.asarray(amp, dtype=complex)
-             * np.exp(1j * np.asarray(ph))).reshape(npan, 32)
-        return np.sum(h * (f @ w32)), npan * 32
+        vals = np.asarray(f(u), dtype=complex).reshape(npan, 32)
+        return np.sum(h * (vals @ w32)), npan * 32
 
     v1, n1 = run(1.0)
     v2, n2 = run(1.5)
     return QuadratureResult(value=v2, error_estimate=abs(v2 - v1),
                             evaluations=n1 + n2)
-

@@ -33,7 +33,7 @@ def dilated(v, a):
     lo, hi = v.support
     return ModelVector(param=v.param,
                        evaluator=pi_action(v.param, diagonal(a), v),
-                       support=(a * a * lo, a * a * hi), even=v.even)
+                       support=(a * a * lo, a * a * hi))
 
 
 # --------------------------------------------------------- spectral param

@@ -103,3 +103,17 @@ def test_power_integral_is_exact_within_its_error_estimate(alpha):
     err = abs(r.value - 1.0 / (1.0 + alpha))
     assert err <= 1e-12
     assert err <= max(r.error_estimate, 1e-14)
+
+
+@derandomized
+@given(st.floats(-0.95, 3.0, exclude_min=True, exclude_max=True))
+def test_power_integral_declared_at_b_is_exact_within_its_error_estimate(alpha):
+    # int_0^1 (1-x)^alpha dx shifted to [-1, 0], so that the integrand
+    # reads its distance to the singular end b = 0 exactly: written as
+    # (1-x)^alpha on [0, 1], x rounds to ulp(1) near b and the rule
+    # does not converge for alpha <= -0.6
+    r = integrate_adaptive(lambda x: (-x) ** alpha, -1.0, 0.0,
+                           singular_exponent_at=(0.0, alpha))
+    err = abs(r.value - 1.0 / (1.0 + alpha))
+    assert err <= 1e-12
+    assert err <= max(r.error_estimate, 1e-14)
