@@ -118,11 +118,17 @@ class Eigenfunction:
 # normalized Legendre recurrence (stable to high degree, no factorials)
 
 
-@functools.cache
+_SECTORAL_PRODUCTS = [1.0]     # prod_{k=1..m} -sqrt((2k+1)/(2k)) at index m
+
+
 def _sectoral_constant(m):
-    """C_m = prod_{k=1..m} -sqrt((2k+1)/(2k)) / sqrt(4pi), once per m."""
-    return math.prod(-math.sqrt((2.0 * k + 1.0) / (2.0 * k))
-                     for k in range(1, m + 1)) / math.sqrt(4.0 * math.pi)
+    """C_m = prod_{k=1..m} -sqrt((2k+1)/(2k)) / sqrt(4pi).  The products are
+    kept and extended on demand, multiplied in ``math.prod``'s order, so
+    each C_m is the same double as that product's."""
+    prods = _SECTORAL_PRODUCTS
+    for k in range(len(prods), m + 1):
+        prods.append(prods[-1] * -math.sqrt((2.0 * k + 1.0) / (2.0 * k)))
+    return prods[m] / math.sqrt(4.0 * math.pi)
 
 
 def _norm_legendre(n, m, costh, sinth):
@@ -131,10 +137,10 @@ def _norm_legendre(n, m, costh, sinth):
     ``_sectoral_constant``); recurs only for n > m.  Takes sin theta as
     well as cos theta: near the poles sqrt(1 - cos^2) would lose relative
     accuracy of about eps / theta^2, m times over in sin^m."""
-    costh = np.asarray(costh, dtype=float)
     q_mm = _sectoral_constant(m) * np.asarray(sinth, dtype=float) ** m
     if n == m:
         return q_mm
+    costh = np.asarray(costh, dtype=float)
     q_prev = q_mm
     q_cur = np.sqrt(2.0 * m + 3.0) * costh * q_mm
     for k in range(m + 2, n + 1):
@@ -159,7 +165,8 @@ def sphere_harmonic(n: int, m: int) -> Eigenfunction:
     def ev(points):
         pts = np.asarray(points, dtype=float)
         theta, phi = pts[..., 0], pts[..., 1]
-        leg = _norm_legendre(n, m_abs, np.cos(theta), np.sin(theta))
+        costh = np.cos(theta) if n > m_abs else None    # sectoral: unread
+        leg = _norm_legendre(n, m_abs, costh, np.sin(theta))
         if sign_m > 0:
             return np.sqrt(2.0) * leg * np.cos(m_abs * phi)
         if sign_m < 0:

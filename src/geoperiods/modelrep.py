@@ -140,7 +140,7 @@ def k_fixed_functional(param: SpectralParam, step: float, ns) -> np.ndarray:
     return 2.0 * h * sums
 
 
-def model_functional(param: SpectralParam, s: complex, v: ModelVector):
+def model_functional(param: SpectralParam, s, v: ModelVector):
     """Equivariant functional: int_R |x|^{-1/2-lam/2+s/2} v(x) dx.
 
     Unitary characters only (Re s = 0).  After x = e^u, with (v(x) + v(-x))
@@ -148,18 +148,24 @@ def model_functional(param: SpectralParam, s: complex, v: ModelVector):
     log(support) at the kernel's frequency |beta|/(2 pi), beta =
     (Im s - Im lam)/2.  The rotation-invariant vector, which has no
     compact support, has its own kernel, ``k_fixed_functional``.
+
+    ``s`` may be a 1-D array: the amplitude e^{u/2}(v(x) + v(-x)) is
+    evaluated once, every s is integrated on the panels of the fastest
+    one, and the values come back as an array.  A row whose own panel
+    count equals the batch's has its scalar call's value, to the bit.
     """
-    s = complex(s)
-    if abs(s.real) > 1e-12:
+    s = np.asarray(s, dtype=complex)
+    if np.any(np.abs(s.real) > 1e-12):
         raise DomainError("model_functional: unitary characters only (Re s = 0)")
     beta = 0.5 * (s.imag - param.lam.imag)
     lo, hi = np.log(v.support)
 
     def f(u):
         x = np.exp(u)
-        return np.exp(0.5 * u) * (v(x) + v(-x)) * np.exp(1j * (beta * u))
+        amp = np.exp(0.5 * u) * (v(x) + v(-x))
+        return amp * np.exp(1j * np.multiply.outer(beta, u))
 
-    fmax = abs(beta) / (2 * np.pi)
+    fmax = np.max(np.abs(beta)) / (2 * np.pi)
     return quad.oscillatory_integral(f, lo, hi, max(fmax, 0.5)).value
 
 
@@ -198,14 +204,15 @@ class DensityTable:
 
 # half-width of the transition regime, as a fraction of the edge frequency
 _SIGMA_FRAC = 0.1
+_REGIMES = ("bulk", "transition", "tail")
 
 
-def _regime_tag(sig, abs_lam):
-    if sig <= (1.0 - _SIGMA_FRAC) * abs_lam:
-        return "bulk"
-    if sig < (1.0 + _SIGMA_FRAC) * abs_lam:
-        return "transition"
-    return "tail"
+def _regime_tags(sig, edge):
+    """The regime of each frequency in ``sig``: bulk up to 0.9 ``edge``,
+    transition below 1.1 ``edge``, tail beyond (and at NaN)."""
+    return np.where(sig <= (1.0 - _SIGMA_FRAC) * edge, "bulk",
+                    np.where(sig < (1.0 + _SIGMA_FRAC) * edge, "transition",
+                             "tail")).tolist()
 
 
 def density_b(param: SpectralParam, q: float, n_range) -> DensityTable:
@@ -233,7 +240,7 @@ def density_b(param: SpectralParam, q: float, n_range) -> DensityTable:
     entries = np.exp(lg)
     log_abs2 = 2.0 * lg.real
     abs_sig = np.abs(sig)
-    regime = [_regime_tag(s_, param.abs_lam) for s_ in abs_sig]
+    regime = _regime_tags(abs_sig, param.abs_lam)
     return DensityTable(kind="geodesic-b", param=param, n_values=ns,
                         entries=entries, sigma=abs_sig, log_abs2=log_abs2,
                         regime=regime,
@@ -302,7 +309,7 @@ def density_c(param: SpectralParam, g: GroupElement, n_range) -> DensityTable:
     sig = 2.0 * np.pi * np.abs(ns)
     with np.errstate(divide="ignore"):
         log_abs2 = 2.0 * np.log(np.abs(entries))
-    regime = [_regime_tag(s_, c_edge * param.abs_lam) for s_ in sig]
+    regime = _regime_tags(sig, c_edge * param.abs_lam)
     return DensityTable(kind="circle-c", param=param, n_values=ns,
                         entries=entries, sigma=sig, log_abs2=log_abs2,
                         regime=regime,
@@ -362,23 +369,23 @@ def vector_norm_sq(v: ModelVector) -> float:
 
 
 def _envelope_terms(table: DensityTable):
-    """(regime, log |entry|^2 over that regime's envelope shape) for every
-    finite entry: times |lam| in the bulk, sqrt|lam| in the transition and
-    e^{sigma/10} in the tail."""
+    """(regime tags, log |entry|^2 over that regime's envelope shape) of
+    the finite entries, as arrays: the shape is 1/|lam| in the bulk,
+    1/sqrt|lam| in the transition and e^{-sigma/10} in the tail."""
     log_lam = np.log(table.param.abs_lam)
-    shift = {"bulk": log_lam, "transition": 0.5 * log_lam}
-    for l2, sig, tag in zip(table.log_abs2, table.sigma, table.regime):
-        if np.isfinite(l2):
-            yield tag, l2 + shift.get(tag, 0.1 * sig)
+    tags = np.asarray(table.regime)
+    shift = np.where(tags == "bulk", log_lam,
+                     np.where(tags == "transition", 0.5 * log_lam,
+                              0.1 * table.sigma))
+    keep = np.isfinite(table.log_abs2)
+    return tags[keep], (table.log_abs2 + shift)[keep]
 
 
 def fit_regime_constants(table: DensityTable) -> dict:
     """Envelope constants (log scale) from one table: bulk |b|^2 <= c1/|lam|,
     transition <= c2/sqrt|lam|, tail <= c3 e^{-sigma/10}."""
-    out = {"bulk": -np.inf, "transition": -np.inf, "tail": -np.inf}
-    for tag, term in _envelope_terms(table):
-        out[tag] = max(out[tag], term)
-    return out
+    tags, terms = _envelope_terms(table)
+    return {r: np.max(terms[tags == r], initial=-np.inf) for r in _REGIMES}
 
 
 def check_regime_envelopes(table: DensityTable, constants: dict,
@@ -386,9 +393,9 @@ def check_regime_envelopes(table: DensityTable, constants: dict,
     """Check every entry of ``table`` against envelope constants fitted on
     another table; returns per-regime worst log-slack (<= log(slack) passes)."""
     log_slack = np.log(slack)
-    worst = {"bulk": -np.inf, "transition": -np.inf, "tail": -np.inf}
-    for tag, term in _envelope_terms(table):
-        worst[tag] = max(worst[tag], term - constants[tag])
+    tags, terms = _envelope_terms(table)
+    worst = {r: np.max(terms[tags == r] - constants[r], initial=-np.inf)
+             for r in _REGIMES}
     passed = all(w <= log_slack for w in worst.values())
     return {"passed": passed, "worst_log_excess": worst,
             "allowed_log_slack": log_slack}

@@ -1,15 +1,16 @@
 """Quadrature engines.
 
 One engine per job: a tanh-sinh (double-exponential) rule on a finite
-interval, which integrates algebraic endpoint singularities as they are
-(a caller splits the interval at an interior one), for one integrand or
-a batch of them on the same interval, an FFT
+interval, which integrates an algebraic singularity as it is at an end
+where x = 0 (a caller shifts the variable to put it there, and splits
+the interval at an interior one), for one integrand or a batch of them
+on the same interval, an FFT
 trapezoid rule with doubling for the Fourier coefficients of a smooth
 1-periodic integrand on [0, 1) (the mean is coefficient 0,
 ``periodic_fourier(f, 0)[0][0]``), and a composite oscillatory integrator
-on uniform 32-point Gauss panels for a complex integrand, as many as the
-caller's bound ``freq_max`` on its phase frequency needs for 8 points
-per cycle.
+on uniform 32-point Gauss panels for one complex integrand or rows of
+them, as many panels as the caller's bound ``freq_max`` on the phase
+frequency needs for 8 points per cycle.
 ``modelrep.model_functional`` runs the oscillatory integrator in u = ln x
 over the support of a compactly supported vector.
 
@@ -93,9 +94,15 @@ def integrate_adaptive(f, a, b, singular_exponent_at=None,
     scaled to [a, b], on |t| <= 6.6: the step halves from 1 until two
     levels agree to ``rel_tol`` (or to 1e-14 absolutely), up to 12
     halvings, and the last change is the error estimate (Takahasi and
-    Mori 1974; Mori and Sugihara 2001).  Algebraic endpoint singularities
-    need no substitution: nodes crowd at both ends, and only a node whose
-    x would round onto its end is dropped.
+    Mori 1974; Mori and Sugihara 2001).  Nodes crowd at both ends, and
+    only a node whose x would round onto its end is dropped.
+
+    The integrand receives x itself, rounded to a double, so it resolves
+    an algebraic singularity only at an end where x = 0: there the nodes
+    keep their full relative accuracy, while 1 - x near b = 1 is off by
+    up to an ulp of 1 (int_0^1 (1-x)^alpha does not converge for alpha
+    <= -0.6).  Shift the variable so that the singular end is 0, as
+    int_{-1}^0 (-x)^alpha for that integral.
 
     ``singular_exponent_at = (point, alpha)`` declares a singularity
     ``|x - point|^alpha`` at an end: it checks that alpha > -1 and that
@@ -189,23 +196,32 @@ def periodic_fourier(f, n_max, n_start=None):
     on n_start, 2 n_start, ... points until two successive spectra agree
     to 1e-11 of their largest entry.
 
-    Returns (coefficients indexed n = -n_max..n_max, error_estimate, evals),
-    the estimate being the last doubling's change.  Raises
+    Each doubling samples only the new points between the previous
+    grid's.  Returns (coefficients indexed n = -n_max..n_max,
+    error_estimate, evals), the estimate being the last doubling's change
+    and ``evals`` the number of points sampled.  Raises
     ConvergenceError if the spectrum has not settled after 12 grids, or
     before a grid above ``FOURIER_MAX_GRID`` points would be sampled.
     """
     n = n_start or max(256, 1 << int(np.ceil(np.log2(8 * max(n_max, 1)))))
-    prev = None
+    prev = vals = None
     neval = 0
     for _ in range(_FOURIER_MAX_DOUBLINGS):
         if n > FOURIER_MAX_GRID:
             raise ConvergenceError(
                 f"periodic_fourier: a grid of {n} points is above the cap "
                 f"of {FOURIER_MAX_GRID}", best=prev)
-        theta = np.arange(n) / n
-        vals = np.asarray(f(theta), dtype=complex)
+        if vals is None:
+            vals = np.asarray(f(np.arange(n) / n), dtype=complex)
+            neval += n
+        else:
+            # 2k/n is k/(n/2) to the bit: sample only the points (2k+1)/n
+            full = np.empty(n, dtype=complex)
+            full[::2] = vals
+            vals = full             # frees the coarse array before sampling
+            vals[1::2] = f((2 * np.arange(n // 2) + 1) / n)
+            neval += n // 2
         cur = (np.fft.fft(vals) / n)[np.arange(-n_max, n_max + 1) % n]
-        neval += n
         if prev is not None:
             change = float(np.max(np.abs(cur - prev)))
             scale = float(np.max(np.abs(cur))) + 1e-300
@@ -229,7 +245,10 @@ def oscillatory_integral(f, a, b, freq_max):
     ``f(u)`` evaluates the (complex) integrand on an array; ``freq_max``
     bounds its phase frequency |phi'|/(2 pi) so panels resolve the
     fastest oscillation at 8 points per cycle.  One refinement pass
-    (x1.5 panels) supplies the error estimate.
+    (x1.5 panels) supplies the error estimate; at the floor of 4 panels
+    both passes take the same panels, so it is exactly 0 there.  ``f``
+    may return m integrands as an (m, len(u)) array: the value and error
+    estimate are then arrays of m, and ``evaluations`` the total.
     """
     x32, w32 = _gl32
 
@@ -240,10 +259,11 @@ def oscillatory_integral(f, a, b, freq_max):
         h = 0.5 * np.diff(edges)
         m = 0.5 * (edges[1:] + edges[:-1])
         u = (m[:, None] + h[:, None] * x32[None, :]).ravel()
-        vals = np.asarray(f(u), dtype=complex).reshape(npan, 32)
-        return np.sum(h * (vals @ w32)), npan * 32
+        vals = np.asarray(f(u), dtype=complex)
+        panels = (vals.reshape(-1, 32) @ w32).reshape(*vals.shape[:-1], npan)
+        return np.sum(h * panels, axis=-1), vals.size
 
     v1, n1 = run(1.0)
     v2, n2 = run(1.5)
-    return QuadratureResult(value=v2, error_estimate=abs(v2 - v1),
+    return QuadratureResult(value=v2, error_estimate=_cabs(v2 - v1),
                             evaluations=n1 + n2)

@@ -20,6 +20,13 @@ the check's batches.
 ``maass_value_termwise`` sums a cusp form's whole Fourier-Bessel series,
 the reference for ``MaassForm.value``, which stops at the K_iR table's
 end.
+``periodic_fourier_regrid`` samples every grid of its doublings in full,
+the reference for ``quad.periodic_fourier``, which keeps the coarse
+samples.  ``box_functionals`` runs criterion 10's functional values one
+(T, lam, sigma) at a time, the reference for the check's batches.
+``regime_tag`` and ``regime_constants_loop`` tag and fit density tables
+one entry at a time, the references for ``modelrep._regime_tags``,
+``fit_regime_constants`` and ``check_regime_envelopes``.
 ``index_symmetric`` and ``summary_lines`` read tables and reports the
 package returns.
 """
@@ -33,7 +40,9 @@ import numpy as np
 
 from geoperiods.eigen import pullback
 from geoperiods.hypgeom import GroupElement
-from geoperiods.modelrep import circle_log_jacobian
+from geoperiods.modelrep import (SpectralParam, circle_log_jacobian,
+                                 model_functional)
+from geoperiods.modelrep import test_vector as make_test_vector
 from geoperiods.quad import integrate_adaptive
 from geoperiods.specfun import DomainError, table_integral
 
@@ -302,6 +311,70 @@ def table_integral_pairs(n_samples, seed):
         if rel > worst:
             worst, worst_at = rel, f"s={s:.3f},t={t:.3f}"
     return f"{n_samples + 1} pairs, worst rel {worst:.2e} at {worst_at}", worst
+
+
+# ------------------------------------------------------ quadrature loops
+
+
+def periodic_fourier_regrid(f, n_max, n_start=None, rel_tol=1e-11):
+    """``quad.periodic_fourier`` sampling each grid n_start, 2 n_start, ...
+    in full: (coefficients for n = -n_max..n_max, last change, the sizes
+    sampled)."""
+    n = n_start or max(256, 1 << int(np.ceil(np.log2(8 * max(n_max, 1)))))
+    prev = None
+    sizes = []
+    for _ in range(12):
+        vals = np.asarray(f(np.arange(n) / n), dtype=complex)
+        sizes.append(n)
+        cur = (np.fft.fft(vals) / n)[np.arange(-n_max, n_max + 1) % n]
+        if prev is not None:
+            change = float(np.max(np.abs(cur - prev)))
+            scale = float(np.max(np.abs(cur))) + 1e-300
+            if change <= rel_tol * scale + 1e-15:
+                return cur, change, sizes
+        prev = cur
+        n *= 2
+    raise AssertionError("periodic_fourier_regrid: spectrum did not settle")
+
+
+def box_functionals(t_values=(10.0, 50.0, 100.0)):
+    """Criterion 10's functional values, one scalar ``model_functional``
+    call per (T, lam, sigma), in the check's order."""
+    vals = []
+    for T in t_values:
+        for lam_abs in np.linspace(0.0, min(T, 40.0), 6):
+            par = SpectralParam(lam=1j * lam_abs)
+            v = make_test_vector(T, par)
+            for sig in np.linspace(0.0, T, 11):
+                vals.append(model_functional(par, 1j * sig, v))
+    return np.array(vals)
+
+
+# ------------------------------------------------------------ regimes
+
+
+def regime_tag(sig, edge):
+    """Bulk up to 0.9 edge, transition below 1.1 edge, else tail."""
+    if sig <= (1.0 - 0.1) * edge:
+        return "bulk"
+    if sig < (1.0 + 0.1) * edge:
+        return "transition"
+    return "tail"
+
+
+def regime_constants_loop(table, constants=None):
+    """Per-regime max of log |entry|^2 over the envelope shape (1/|lam|,
+    1/sqrt|lam|, e^{-sigma/10}) less ``constants[regime]``, entry by
+    entry: ``fit_regime_constants`` without ``constants``, the
+    ``worst_log_excess`` of ``check_regime_envelopes`` with them."""
+    log_lam = np.log(table.param.abs_lam)
+    shift = {"bulk": log_lam, "transition": 0.5 * log_lam}
+    out = {"bulk": -np.inf, "transition": -np.inf, "tail": -np.inf}
+    for l2, sig, tag in zip(table.log_abs2, table.sigma, table.regime):
+        if np.isfinite(l2):
+            term = l2 + shift.get(tag, 0.1 * sig)
+            out[tag] = max(out[tag], term - (constants or {}).get(tag, 0.0))
+    return out
 
 
 # ------------------------------------------------------ tables and reports

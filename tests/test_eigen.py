@@ -2,6 +2,7 @@ import dataclasses
 import glob
 import json
 import logging
+import math
 import os
 import warnings
 
@@ -90,6 +91,20 @@ def equator_norm_sq(phi):
         phi, np.stack([np.full_like(th, np.pi / 2), 2 * np.pi * th],
                       axis=-1)) ** 2, 0)[0][0]
     return 2 * np.pi * mean.real
+
+
+def test_sectoral_constants_equal_their_products_in_any_order():
+    # the kept products grow on demand; each C_m is the product's double
+    for m in (300, 0, 7, 150, 301, 1, 40):
+        prod = math.prod(-math.sqrt((2.0 * k + 1.0) / (2.0 * k))
+                         for k in range(1, m + 1))
+        assert eigen._sectoral_constant(m) == prod / math.sqrt(4.0 * math.pi)
+
+
+def test_sectoral_legendre_reads_no_cosine():
+    sins = np.sin(np.array([0.05, 0.7, np.pi / 2]))
+    got = eigen._norm_legendre(9, 9, None, sins)
+    assert np.array_equal(got, eigen._sectoral_constant(9) * sins ** 9)
 
 
 def test_sphere_equator_y11_norm():

@@ -7,17 +7,20 @@ from geoperiods.hypgeom import GroupElement, diagonal, orbit_from_spec
 from geoperiods.modelrep import (BUMP_SQ_INTEGRAL, C1_NORM_SLOPE,
                                  DegenerateCircleError, ModelVector,
                                  SpectralParam, bump, check_regime_envelopes,
-                                 circle_edge_constant, density_b, density_c,
+                                 circle_edge_constant, circle_log_jacobian,
+                                 density_b, density_c, density_c_grid,
                                  density_to_csv, fit_regime_constants,
                                  k_fixed_functional, model_functional,
                                  vector_norm_sq)
 from geoperiods.modelrep import test_vector as make_test_vector
-from geoperiods import quad, verify
+from geoperiods import modelrep, quad, verify
 from geoperiods.quad import integrate_adaptive
 from geoperiods.specfun import DomainError, log_gamma
 
-from oracles import (analyze_phase, conical_legendre, fd_edge_constant,
-                     index_symmetric, k_fixed_vector, pi_action, rotation)
+from oracles import (analyze_phase, box_functionals, conical_legendre,
+                     fd_edge_constant, index_symmetric, k_fixed_vector,
+                     periodic_fourier_regrid, pi_action, regime_constants_loop,
+                     regime_tag, rotation)
 
 RNG = np.random.default_rng(11)
 
@@ -169,8 +172,9 @@ def test_functional_lattice_trivial_on_generator():
 
 def test_functional_rejects_nonunitary():
     par = SpectralParam(lam=5j)
-    with pytest.raises(DomainError):
-        model_functional(par, 0.5, make_test_vector(1.0, par))
+    for s in (0.5, np.array([1j, 0.5 + 2j])):     # one row of a batch too
+        with pytest.raises(DomainError):
+            model_functional(par, s, make_test_vector(1.0, par))
 
 
 # ------------------------------------------------------ k-fixed functional
@@ -266,7 +270,48 @@ def test_density_b_envelopes_fit_and_check():
     assert res["passed"]
 
 
+def test_envelope_constants_match_the_entry_loop():
+    q = 1.0 / np.log(2.0)
+    fit_table = density_b(SpectralParam(lam=80j), q, (-250, 250))
+    table = density_b(SpectralParam(lam=160j), q, (-250, 250))
+    fit = fit_regime_constants(fit_table)
+    ref = regime_constants_loop(fit_table)
+    assert fit == ref and all(type(v) is np.float64 for v in fit.values())
+    worst = check_regime_envelopes(table, fit)["worst_log_excess"]
+    assert worst == regime_constants_loop(table, fit)
+    # a table with no transition entries keeps that regime at -inf
+    bare = density_b(SpectralParam(lam=80j), q, (0, 5))
+    assert fit_regime_constants(bare) == regime_constants_loop(bare)
+    assert fit_regime_constants(bare)["transition"] == -np.inf
+
+
+def test_regime_tags_follow_the_scalar_rule_at_the_boundaries():
+    edge = 2 * np.pi * np.sinh(1.6) * 320.0
+    lo, hi = (1.0 - 0.1) * edge, (1.0 + 0.1) * edge
+    sig = np.array([0.0, np.nextafter(lo, 0.0), lo, np.nextafter(lo, np.inf),
+                    np.nextafter(hi, 0.0), hi, np.nextafter(hi, np.inf),
+                    np.inf, np.nan])
+    tags = modelrep._regime_tags(sig, edge)
+    assert tags == [regime_tag(x, edge) for x in sig]
+    assert tags[2] == "bulk" and tags[5] == "tail" and tags[-1] == "tail"
+    assert all(type(t) is str for t in tags)
+
+
 # ---------------------------------------------------------------- density c
+
+def test_density_c_fourier_sums_equal_full_regrids_at_lam_320():
+    g = GroupElement(verify.MODEL_CIRCLE_ELEMENT)
+    par = SpectralParam(lam=320j)
+    n_max = int(np.ceil(2.6 * circle_edge_constant(g) * 320.0 / (2 * np.pi))) + 8
+    table = density_c(par, g, (0, n_max))
+    W = circle_log_jacobian(g)
+    ref, err, sizes = periodic_fourier_regrid(
+        lambda th: np.exp(0.5 * (par.lam - 1.0) * np.log(W(th))), n_max,
+        n_start=density_c_grid(par.abs_lam, g, (0, n_max)))
+    assert np.array_equal(table.entries, ref[n_max:])
+    assert table.meta["fourier_error"] == err
+    assert table.meta["evaluations"] == sizes[0] + sum(sizes[:-1])
+
 
 def test_density_c_odd_vanish_and_symmetry():
     par = SpectralParam(lam=30j)
@@ -409,6 +454,22 @@ def test_test_vector_functional_lower_bound():
     for sig in (0.0, 40.0, 100.0):
         d = model_functional(par, 1j * sig, vt)
         assert abs(d) ** 2 > 3.5
+
+
+def test_batched_functionals_equal_scalar_calls_bit_for_bit():
+    # criterion 10's box: 18 calls of 11 sigma each, every row at the
+    # 4-panel floor, against 198 scalar calls
+    batched = []
+    for T in (10.0, 50.0, 100.0):
+        for lam_abs in np.linspace(0.0, min(T, 40.0), 6):
+            par = SpectralParam(lam=1j * lam_abs)
+            d = model_functional(par, 1j * np.linspace(0.0, T, 11),
+                                 make_test_vector(T, par))
+            assert d.shape == (11,)
+            batched.extend(d)
+    assert np.array_equal(np.array(batched), box_functionals())
+    c2 = 0.995 * min(abs(x) ** 2 for x in box_functionals((10.0,)))
+    assert verify.check_test_vector_constants().extras["c2"] == c2
 
 
 def test_test_vector_requires_t_geq_one():

@@ -6,7 +6,7 @@ from geoperiods.quad import (ConvergenceError, integrate_adaptive,
                              oscillatory_integral, periodic_fourier)
 from geoperiods.specfun import table_integral
 
-from oracles import ResolutionError, analyze_phase
+from oracles import ResolutionError, analyze_phase, periodic_fourier_regrid
 
 RNG = np.random.default_rng(7)
 
@@ -244,8 +244,27 @@ def test_periodic_fourier_refuses_grids_above_the_cap(monkeypatch):
     monkeypatch.setattr(quad, "FOURIER_MAX_GRID", 1024)
     with pytest.raises(ConvergenceError, match="2048 points") as exc:
         periodic_fourier(noisy, 4)
-    assert sampled == [256, 512, 1024]
+    # each doubling samples only the points between the previous grid's
+    assert sampled == [256, 256, 512]
     assert len(exc.value.best) == 9
+
+
+@pytest.mark.parametrize("kappa,doublings", [(1.0, 1), (4.0, 2), (16.0, 3)])
+def test_periodic_fourier_keeps_the_coarse_samples_bit_for_bit(kappa, doublings):
+    # e^{kappa cos 2 pi theta} from 16 points settles after 1, 2 or 3
+    # doublings; each doubling samples only its new points, and the
+    # spectrum and estimate equal those of full regrids to the bit
+    def f(th):
+        sampled.append(len(th))
+        return np.exp(kappa * np.cos(2 * np.pi * th))
+
+    sampled = []
+    coeffs, err, evals = periodic_fourier(f, 4, n_start=16)
+    ref, ref_err, sizes = periodic_fourier_regrid(f, 4, n_start=16)
+    assert len(sizes) == doublings + 1
+    assert sampled[:doublings + 1] == [16] + sizes[:-1]
+    assert evals == sum(sampled[:doublings + 1]) == 16 * 2 ** doublings
+    assert np.array_equal(coeffs, ref) and err == ref_err
 
 
 def test_periodic_fourier_matches_direct():
