@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from . import eigen, quad, verify
+from . import eigen, periods, quad
 from .eigen import _json_text, _write_csv
 from .hypgeom import GroupElement, orbit_from_spec
 from .modelrep import (SpectralParam, density_b, density_c, density_c_grid,
@@ -37,19 +37,20 @@ def _default(value):
 
 @dataclass
 class RunConfig:
-    """Run settings; the defaults are the acceptance inputs of ``verify``."""
+    """Run settings; the defaults are the acceptance inputs of ``periods``.
+    ``verify`` is loaded only to check the ``checks`` and ``tolerances``."""
 
     recipe: str = "maass-restriction"
-    brackets: list = _default(verify.ACCEPTANCE_BRACKETS)
+    brackets: list = _default(periods.ACCEPTANCE_BRACKETS)
     parity: str = "auto"
     M0: int = 14
     y0: float = 0.40
-    curves: list = _default(verify.ACCEPTANCE_CURVES)
-    t_grid: list = _default(verify.ACCEPTANCE_T_GRID)
-    n_range: list = _default(verify.ACCEPTANCE_N_RANGE)
-    sphere_degrees: list = _default(verify.ACCEPTANCE_SPHERE_DEGREES)
-    lambdas: list = _default(verify.ACCEPTANCE_LAMBDAS)
-    q_values: list = _default(verify.ACCEPTANCE_Q_VALUES)
+    curves: list = _default(periods.ACCEPTANCE_CURVES)
+    t_grid: list = _default(periods.ACCEPTANCE_T_GRID)
+    n_range: list = _default(periods.ACCEPTANCE_N_RANGE)
+    sphere_degrees: list = _default(periods.ACCEPTANCE_SPHERE_DEGREES)
+    lambdas: list = _default(periods.ACCEPTANCE_LAMBDAS)
+    q_values: list = _default(periods.ACCEPTANCE_Q_VALUES)
     out_dir: str = "out"
     cache_dir: str = ""
     tolerances: dict = field(default_factory=dict)
@@ -68,7 +69,9 @@ class RunConfig:
         for key, val in self.tolerances.items():
             _check_positive(f"tolerance {key!r}",
                             val if isinstance(val, list) else [val])
-        verify.overrides(self.checks, self.tolerances)
+        if self.checks or self.tolerances:  # else overrides would be {}
+            from . import verify
+            verify.overrides(self.checks, self.tolerances)
         eigen.check_solve(self.brackets, self.parity, self.M0, self.y0)
         if len(self.n_range) != 2 or self.n_range[0] > self.n_range[1]:
             raise ValueError(f"n_range {self.n_range} is not an ascending pair")
@@ -81,7 +84,7 @@ class RunConfig:
         if self.recipe == "density-regimes":
             _check_positive("q_values", self.q_values)
             _check_positive("lambdas", self.lambdas)
-            g = GroupElement(verify.MODEL_CIRCLE_ELEMENT)
+            g = GroupElement(periods.MODEL_CIRCLE_ELEMENT)
             grid = density_c_grid(max(self.lambdas, default=0.0), g,
                                   self.n_range)
             if 2 * grid > quad.FOURIER_MAX_GRID:   # one doubling must fit
@@ -143,8 +146,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 # file name; the stdout lines; the exit status.  ``cmd_sweep`` writes them.
 
 def _sweep_maass(cfg: RunConfig):
-    forms = verify.acceptance_forms(cfg.cache_dir, solve_missing=False,
-                                    brackets=cfg.brackets)
+    forms = eigen.cached_forms(cfg.cache_dir, cfg.brackets,
+                               solve_missing=False)
     if forms is None:
         raise FileNotFoundError(
             f"no cached form for some bracket of {cfg.brackets}; run "
@@ -191,7 +194,7 @@ def _sweep_sphere(cfg: RunConfig):
 
 
 def _sweep_densities(cfg: RunConfig):
-    g = GroupElement(verify.MODEL_CIRCLE_ELEMENT)
+    g = GroupElement(periods.MODEL_CIRCLE_ELEMENT)
     n_range = tuple(cfg.n_range)
     files = {}
     for lam_abs in cfg.lambdas:
@@ -222,6 +225,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig, solve_missing) -> int:
+    from . import verify
     failures = 0
     skipped = 0
     names = cfg.checks or None

@@ -60,6 +60,7 @@ __all__ = [
     "load_form",
     "cache_path",
     "find_form",
+    "cached_forms",
     "resolve_cache_dir",
 ]
 
@@ -796,6 +797,22 @@ def find_form(cache_dir, bracket) -> Optional[MaassForm]:
     if not found:
         return None
     return load_form(max(found, key=lambda f: f[0])[1])
+
+
+def cached_forms(cache_dir, brackets, solve_missing) -> Optional[list]:
+    """The cached form of each bracket in ``resolve_cache_dir(cache_dir)``;
+    one missing is solved and cached if ``solve_missing``, else None."""
+    cache_dir = resolve_cache_dir(cache_dir)
+    forms = []
+    for bracket in brackets:
+        found = find_form(cache_dir, bracket)
+        if found is None:
+            if not solve_missing:
+                return None
+            found = hejhal_solve(bracket, parity="auto")
+            save_form(found, cache_dir)
+        forms.append(found)
+    return forms
 
 
 def _atomic_write(path, text):

@@ -52,6 +52,31 @@ _ODD_CONSISTENCY_TOL = 1e-8     # odd circle periods, relative to max|fourier|
 TABLE_GRID = 2048               # restriction grid of ``coefficient_table``
 EXTRACT_THRESHOLD = 1e-10       # near-zero density cut, x max|density|
 
+# The acceptance inputs.  The averaged-bound geodesic must be long (so the
+# measurable coefficient band covers the whole T sweep) AND low-lying (its
+# axis tops out near y = 1.6, where cusp forms still have mass; axes that
+# climb toward the cusp make every period exponentially small).  The element
+# is the word A^4 B^4 in [[2,1],[1,1]] and its transpose: trace 1766, length
+# ~14.95.  The circle radius 1.6 plays the same role.
+ACCEPTANCE_CURVES = (
+    {"kind": "geodesic", "matrix": ((883.0, 1428.0), (546.0, 883.0))},
+    {"kind": "circle", "center": (0.2, 1.1), "radius": 1.6})
+ACCEPTANCE_BRACKETS = ((9.0, 10.0), (12.0, 12.7), (13.5, 14.2))
+ACCEPTANCE_T_GRID = (8, 16, 32, 64)
+ACCEPTANCE_SPHERE_DEGREES = (10, 200)           # Y(n, n) for n = 10..200
+ACCEPTANCE_LAMBDAS = (40.0, 80.0, 160.0, 320.0)  # |lam| of the density sweeps
+ACCEPTANCE_Q_VALUES = (0.5, 1.0 / np.log(2.0), 2.0)
+MODEL_CIRCLE_ELEMENT = ((2.0, 0.0), (0.0, 0.5))   # model circle densities
+
+
+def acceptance_band(t_grid):
+    """The coefficient band |n| <= 1.3 max(T) for a T sweep."""
+    n_max = int(1.3 * max(t_grid))
+    return (-n_max, n_max)
+
+
+ACCEPTANCE_N_RANGE = acceptance_band(ACCEPTANCE_T_GRID)
+
 
 class StructuralInconsistencyError(Exception):
     pass

@@ -86,7 +86,7 @@ def _cabs(z):
     return np.hypot(z.real, z.imag)
 
 
-def integrate_adaptive(f, a, b, singular_exponent_at=None,
+def integrate_adaptive(f, a, b, singular_exponent=None,
                        rel_tol=1e-10, budget=200_000, batch=None):
     """Tanh-sinh (double-exponential) integration of ``f`` on [a, b].
 
@@ -97,17 +97,10 @@ def integrate_adaptive(f, a, b, singular_exponent_at=None,
     Mori 1974; Mori and Sugihara 2001).  Nodes crowd at both ends, and
     only a node whose x would round onto its end is dropped.
 
-    The integrand receives x itself, rounded to a double, so it resolves
-    an algebraic singularity only at an end where x = 0: there the nodes
-    keep their full relative accuracy, while 1 - x near b = 1 is off by
-    up to an ulp of 1 (int_0^1 (1-x)^alpha does not converge for alpha
-    <= -0.6).  Shift the variable so that the singular end is 0, as
-    int_{-1}^0 (-x)^alpha for that integral.
-
-    ``singular_exponent_at = (point, alpha)`` declares a singularity
-    ``|x - point|^alpha`` at an end: it checks that alpha > -1 and that
-    the point is ``a`` or ``b``; a singularity inside the interval is the
-    caller's to split at.  The ends must be finite.  Returns a
+    ``singular_exponent = alpha`` declares a singularity |x|^alpha at
+    x = 0, which must be ``a`` or ``b``: it checks that alpha > -1 and
+    changes no node or weight.  A singularity elsewhere is the caller's
+    to shift to 0 and split at.  The ends must be finite.  Returns a
     QuadratureResult; raises ConvergenceError carrying the best estimate
     when the evaluation budget or the halvings run out, or when the sum
     is not finite.
@@ -116,23 +109,22 @@ def integrate_adaptive(f, a, b, singular_exponent_at=None,
     rows)`` returns a (len(rows), len(x)) array, the integrands of the
     rows (indices into range(m)) still refining, and each row stops at
     the level where it alone converges, with the value and error estimate
-    its own scalar call gives, to the bit.  ``alpha`` may hold one
-    exponent per row.  The budget, the halvings and the finiteness hold
-    per row: the first row to break one raises, named in the message, and
-    the error carries every row's best estimate.  The result's value and
-    error estimate are then arrays of m, and ``evaluations`` the total
-    over the rows.
+    its own scalar call gives, to the bit.  ``singular_exponent`` may
+    hold one exponent per row.  The budget, the halvings and the
+    finiteness hold per row: the first row to break one raises, named in
+    the message, and the error carries every row's best estimate.  The
+    result's value and error estimate are then arrays of m, and
+    ``evaluations`` the total over the rows.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError(f"integrate_adaptive: a non-finite end in [{a}, {b}]")
-    if singular_exponent_at is not None:
-        point, alpha = singular_exponent_at
-        if np.any(np.asarray(alpha) <= -1.0):
-            worst = float(np.min(alpha))
+    if singular_exponent is not None:
+        if 0.0 not in (a, b):
+            raise ValueError(f"a declared singularity is at x = 0, which is "
+                             f"not an end of [{a}, {b}]")
+        if np.any(np.asarray(singular_exponent) <= -1.0):
+            worst = float(np.min(singular_exponent))
             raise ValueError(f"singular exponent {worst:g} <= -1 is not integrable")
-        if point not in (a, b):
-            raise ValueError(f"declared singularity at {point} is not an end "
-                             f"of [{a}, {b}]; split the interval there")
     scalar = batch is None
     if scalar:
         fn, batch = f, 1

@@ -3,8 +3,9 @@
 Each check returns a CheckResult with a pass flag, timing against its
 budget, and a detail string.  Checks that need solved cusp forms take a
 cache directory; with ``solve_missing=False`` they are skipped (not
-failed) when the cache is absent.  The acceptance inputs below are the
-only copy: the CLI's ``RunConfig`` defaults are built from them.
+failed) when the cache is absent.  The acceptance inputs live in
+``periods``, so ``solve`` and ``sweep`` load this module only to check
+the checks or tolerances that a config names.
 """
 
 from __future__ import annotations
@@ -23,38 +24,17 @@ from .modelrep import (C1_NORM_SLOPE, SpectralParam, check_regime_envelopes,
                        fit_regime_constants, k_fixed_functional,
                        model_functional, test_vector, vector_norm_sq)
 from .specfun import table_integral
-from .periods import (AVERAGE_BOUND_LIMIT, TABLE_GRID, RestrictionProfile,
-                      SphereEquator, TorusGeodesic, coefficient_family,
-                      equator_norms, extract_coefficients,
-                      periods as fourier_periods, restrict)
+from .periods import (ACCEPTANCE_BRACKETS, ACCEPTANCE_CURVES,
+                      ACCEPTANCE_LAMBDAS, ACCEPTANCE_Q_VALUES,
+                      ACCEPTANCE_SPHERE_DEGREES, ACCEPTANCE_T_GRID,
+                      AVERAGE_BOUND_LIMIT, MODEL_CIRCLE_ELEMENT, TABLE_GRID,
+                      RestrictionProfile, SphereEquator, TorusGeodesic,
+                      acceptance_band, coefficient_family, equator_norms,
+                      extract_coefficients, periods as fourier_periods,
+                      restrict)
 
-__all__ = ["CheckResult", "ALL_CHECKS", "run_checks", "overrides",
-           "acceptance_forms", "ACCEPTANCE_CURVES"]
+__all__ = ["CheckResult", "ALL_CHECKS", "run_checks", "overrides"]
 
-# fixed curves for the averaged-bound run.  The geodesic must be long (so
-# the measurable coefficient band covers the whole T sweep) AND low-lying
-# (its axis tops out near y = 1.6, where cusp forms still have mass; axes
-# that climb toward the cusp make every period exponentially small).  The
-# element is the word A^4 B^4 in [[2,1],[1,1]] and its transpose: trace
-# 1766, length ~14.95.  The circle radius 1.6 plays the same role.
-ACCEPTANCE_CURVES = (
-    {"kind": "geodesic", "matrix": ((883.0, 1428.0), (546.0, 883.0))},
-    {"kind": "circle", "center": (0.2, 1.1), "radius": 1.6})
-ACCEPTANCE_BRACKETS = ((9.0, 10.0), (12.0, 12.7), (13.5, 14.2))
-ACCEPTANCE_T_GRID = (8, 16, 32, 64)
-ACCEPTANCE_SPHERE_DEGREES = (10, 200)           # Y(n, n) for n = 10..200
-ACCEPTANCE_LAMBDAS = (40.0, 80.0, 160.0, 320.0)  # |lam| of the density sweeps
-ACCEPTANCE_Q_VALUES = (0.5, 1.0 / np.log(2.0), 2.0)
-MODEL_CIRCLE_ELEMENT = ((2.0, 0.0), (0.0, 0.5))   # model circle densities
-
-
-def acceptance_band(t_grid):
-    """The coefficient band |n| <= 1.3 max(T) for a T sweep."""
-    n_max = int(1.3 * max(t_grid))
-    return (-n_max, n_max)
-
-
-ACCEPTANCE_N_RANGE = acceptance_band(ACCEPTANCE_T_GRID)
 # criterion 06's bound on the Hecke defects through index mn = 10: the
 # committed forms meet it by a factor of 17 or more
 HECKE_TOL = 1e-6
@@ -79,22 +59,6 @@ class CheckResult:
                 f"budget {self.budget:.0f}s) {self.details}")
 
 
-def acceptance_forms(cache_dir, solve_missing=True, brackets=ACCEPTANCE_BRACKETS):
-    """Load (or solve and cache) the cusp forms used by the acceptance runs;
-    None when one is missing and ``solve_missing`` is false."""
-    cache_dir = eigen.resolve_cache_dir(cache_dir)
-    forms = []
-    for bracket in brackets:
-        found = eigen.find_form(cache_dir, bracket)
-        if found is None:
-            if not solve_missing:
-                return None
-            found = eigen.hejhal_solve(bracket, parity="auto")
-            eigen.save_form(found, cache_dir)
-        forms.append(found)
-    return forms
-
-
 ALL_CHECKS = []     # (name, check, needs_cache), in definition order
 
 
@@ -111,9 +75,9 @@ def _check(name, budget, brackets=None):
             t0 = time.perf_counter()
             try:
                 if brackets is not None:
-                    kwargs["forms"] = acceptance_forms(
-                        kwargs.pop("cache_dir", None),
-                        kwargs.pop("solve_missing", True), brackets)
+                    kwargs["forms"] = eigen.cached_forms(
+                        kwargs.pop("cache_dir", None), brackets,
+                        kwargs.pop("solve_missing", True))
                 out = fn(**kwargs)
             except Exception as exc:  # a crashed check fails; the run goes on
                 out = False, f"crashed: {type(exc).__name__}: {exc}", {}
@@ -190,11 +154,9 @@ def _table_integral_quadrature(s, t):
         return np.exp(p[rows, None] * np.log(u)
                       + t[rows, None] * np.log1p(u * u))
 
-    r1 = quad.integrate_adaptive(f01, 0.0, 1.0,
-                                 singular_exponent_at=(0.0, s.real),
+    r1 = quad.integrate_adaptive(f01, 0.0, 1.0, singular_exponent=s.real,
                                  rel_tol=1e-11, batch=s.size)
-    r2 = quad.integrate_adaptive(finf, 0.0, 1.0,
-                                 singular_exponent_at=(0.0, p.real),
+    r2 = quad.integrate_adaptive(finf, 0.0, 1.0, singular_exponent=p.real,
                                  rel_tol=1e-11, batch=s.size)
     return 2.0 * (r1.value + r2.value)
 

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from geoperiods import eigen, verify
+from geoperiods import eigen
 
 # Solved forms are cached on disk so repeated test runs skip the solver.
 # Point GEOPERIODS_CACHE somewhere persistent to share the cache with the
@@ -16,7 +16,7 @@ CACHE_DIR = os.environ.get(eigen.CACHE_ENV_VAR,
 def first_form():
     """The lowest cusp form on the modular surface (R ~ 9.5337), read from
     the cache or solved and cached."""
-    return verify.acceptance_forms(CACHE_DIR, brackets=[(9.0, 10.0)])[0]
+    return eigen.cached_forms(CACHE_DIR, [(9.0, 10.0)], solve_missing=True)[0]
 
 
 @pytest.fixture(scope="session")

@@ -297,7 +297,7 @@ def table_integral_pairs(n_samples, seed):
         # int_0^1 x^q (1+x^2)^t dx; q = s, and q = -s-2-2t after x = 1/u
         return integrate_adaptive(
             lambda x: np.exp(q * np.log(x) + t * np.log1p(x * x)), 0.0, 1.0,
-            singular_exponent_at=(0.0, q.real), rel_tol=1e-11).value
+            singular_exponent=q.real, rel_tol=1e-11).value
 
     worst = abs(table_integral(0.0, -1.0) - np.pi) / np.pi
     worst_at = "s=0,t=-1"

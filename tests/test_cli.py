@@ -13,12 +13,13 @@ import geoperiods
 from geoperiods import eigen, quad, verify
 from geoperiods.cli import RECIPES, RunConfig, main
 from geoperiods.hypgeom import orbit_from_spec
+from geoperiods.periods import ACCEPTANCE_CURVES
 
 from conftest import CACHE_DIR
 
 # Most tests call ``main`` in this process.  Two launch the real
 # ``python -m geoperiods.cli`` entry point through ``run_cli``: the
-# malformed-config exit and one density sweep; one more checks a fresh
+# malformed-config exit and one density sweep; others check a fresh
 # interpreter's modules through ``run_python``.  The child runs in
 # tmp_path, where a relative PYTHONPATH (such as ``src``) no longer
 # resolves, so the directory that holds the imported package goes first
@@ -173,6 +174,30 @@ def test_no_command_imports_numpy_ma(tmp_path):
     assert res.stdout == "False\n"
 
 
+@pytest.mark.parametrize("command, config, status, loaded", [
+    ("solve", {"brackets": []}, 0, False),
+    ("sweep", {}, 0, False),
+    ("verify", {"checks": ["table-integral-identity"]}, 0, True),
+    ("sweep", {"tolerances": {"extract_threshold": 2.0}}, 2, True),
+])
+def test_only_verify_imports_the_acceptance_suite(command, config, status,
+                                                  loaded, tmp_path):
+    # solve and sweep read the acceptance inputs from periods; verify is
+    # loaded by its own command, or to check the checks and tolerances
+    # that a config names
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["--config", str(cfg), "--cache", os.path.abspath(CACHE_DIR),
+            "--out", str(tmp_path / "out"), command]
+    code = ("import sys\n"
+            "from geoperiods.cli import main\n"
+            f"status = main({argv!r})\n"
+            "print(status, 'geoperiods.verify' in sys.modules)\n")
+    res = run_python(["-c", code], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == f"{status} {loaded}"
+
+
 def test_planted_roundtrip_with_nothing_planted_fails(tmp_path, capsys):
     # one plant over two density kinds rounds down to none per kind
     cfg = tmp_path / "cfg.json"
@@ -220,7 +245,7 @@ def test_default_sweep_reports_every_curve(tmp_path, capsys):
     assert main(["--cache", os.path.abspath(CACHE_DIR), "--out", str(out),
                  "sweep"]) == 0
     reports = json.loads((out / "summary.json").read_text())["reports"]
-    geo, circ = map(orbit_from_spec, verify.ACCEPTANCE_CURVES)
+    geo, circ = map(orbit_from_spec, ACCEPTANCE_CURVES)
     assert sorted(reports) == sorted([geo.curve_id(), circ.curve_id()])
     assert all(rep["passed"] is True for rep in reports.values())
     res = verify.check_average_bound_maass(cache_dir=CACHE_DIR)

@@ -14,7 +14,7 @@ from geoperiods.eigen import (CacheRecordError, NoEigenvalueError,
                               ReductionError, evaluate, laplace_residual,
                               pullback, sphere_harmonic, torus_mode)
 from geoperiods.hypgeom import orbit_from_spec
-from geoperiods.periods import TABLE_GRID
+from geoperiods.periods import ACCEPTANCE_CURVES, TABLE_GRID
 from geoperiods.quad import periodic_fourier
 from geoperiods.specfun import bessel_k_imag, bessel_k_imag_grid
 
@@ -190,7 +190,7 @@ def _bits(w):
 def test_pullback_memo_is_exact_on_the_acceptance_curves():
     # both curves at the grid of ``restrict`` and its double, 12,288
     # points; the second call of each point is a memo hit
-    for spec in verify.ACCEPTANCE_CURVES:
+    for spec in ACCEPTANCE_CURVES:
         curve = orbit_from_spec(spec)
         for grid in (TABLE_GRID, 2 * TABLE_GRID):
             for z in curve.points(np.arange(grid) / grid):

@@ -14,6 +14,7 @@ from geoperiods.modelrep import (BUMP_SQ_INTEGRAL, C1_NORM_SLOPE,
                                  vector_norm_sq)
 from geoperiods.modelrep import test_vector as make_test_vector
 from geoperiods import modelrep, quad, verify
+from geoperiods.periods import ACCEPTANCE_CURVES, MODEL_CIRCLE_ELEMENT
 from geoperiods.quad import integrate_adaptive
 from geoperiods.specfun import DomainError, log_gamma
 
@@ -300,7 +301,7 @@ def test_regime_tags_follow_the_scalar_rule_at_the_boundaries():
 # ---------------------------------------------------------------- density c
 
 def test_density_c_fourier_sums_equal_full_regrids_at_lam_320():
-    g = GroupElement(verify.MODEL_CIRCLE_ELEMENT)
+    g = GroupElement(MODEL_CIRCLE_ELEMENT)
     par = SpectralParam(lam=320j)
     n_max = int(np.ceil(2.6 * circle_edge_constant(g) * 320.0 / (2 * np.pi))) + 8
     table = density_c(par, g, (0, n_max))
@@ -367,7 +368,7 @@ def test_density_c_edge_constant_matches_sinh():
 
 @pytest.mark.parametrize("g", [
     GroupElement([[1.3, 0.4], [0.2, 0.9]]),
-    orbit_from_spec(verify.ACCEPTANCE_CURVES[1]).g,
+    orbit_from_spec(ACCEPTANCE_CURVES[1]).g,
 ], ids=["general", "acceptance-circle"])
 def test_circle_edge_constant_matches_finite_differences(g):
     # the closed form against the measured max of |d/dtheta log W| / 2,

@@ -5,15 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from geoperiods import eigen, verify
+from geoperiods import eigen
 from geoperiods.eigen import sphere_harmonic, torus_mode
 from geoperiods.hypgeom import (GroupElement, circle_orbit,
                                 geodesic_orbit_from_matrix, orbit_from_spec)
 from geoperiods.modelrep import SpectralParam, density_b, density_c
-from geoperiods.periods import (RestrictionProfile, SphereEquator,
-                                StructuralInconsistencyError, TorusGeodesic,
-                                check_average_bound, coefficient_family,
-                                coefficient_table, extract_coefficients,
+from geoperiods.periods import (ACCEPTANCE_CURVES, RestrictionProfile,
+                                SphereEquator, StructuralInconsistencyError,
+                                TorusGeodesic, check_average_bound,
+                                coefficient_family, coefficient_table,
+                                extract_coefficients,
                                 fit_restriction_exponent, period_table_to_csv,
                                 periods, restrict)
 
@@ -246,10 +247,10 @@ def test_coefficient_table_is_the_explicit_chain(first_eigenfunction, kind):
 
 
 def test_coefficient_family_is_table_and_bound_pair_by_pair():
-    forms = verify.acceptance_forms(CACHE_DIR, brackets=[(9.0, 10.0),
-                                                         (12.0, 12.7)])
+    forms = eigen.cached_forms(CACHE_DIR, [(9.0, 10.0), (12.0, 12.7)],
+                               solve_missing=True)
     phis = [eigen.as_eigenfunction(f) for f in forms]
-    curves = [orbit_from_spec(spec) for spec in verify.ACCEPTANCE_CURVES]
+    curves = [orbit_from_spec(spec) for spec in ACCEPTANCE_CURVES]
     n_range, t_grid = (-20, 20), (4, 8, 16)
     tables, reports = coefficient_family(phis, curves, n_range, t_grid,
                                          growth_limit=1.5)

@@ -99,7 +99,7 @@ def test_form_value_matches_the_exact_kernel_series(record, zs):
 @given(st.floats(-0.95, 3.0, exclude_min=True, exclude_max=True))
 def test_power_integral_is_exact_within_its_error_estimate(alpha):
     r = integrate_adaptive(lambda x: x ** alpha, 0.0, 1.0,
-                           singular_exponent_at=(0.0, alpha))
+                           singular_exponent=alpha)
     err = abs(r.value - 1.0 / (1.0 + alpha))
     assert err <= 1e-12
     assert err <= max(r.error_estimate, 1e-14)
@@ -113,7 +113,7 @@ def test_power_integral_declared_at_b_is_exact_within_its_error_estimate(alpha):
     # (1-x)^alpha on [0, 1], x rounds to ulp(1) near b and the rule
     # does not converge for alpha <= -0.6
     r = integrate_adaptive(lambda x: (-x) ** alpha, -1.0, 0.0,
-                           singular_exponent_at=(0.0, alpha))
+                           singular_exponent=alpha)
     err = abs(r.value - 1.0 / (1.0 + alpha))
     assert err <= 1e-12
     assert err <= max(r.error_estimate, 1e-14)

@@ -25,8 +25,8 @@ def test_adaptive_interior_singularity():
     def f(x):
         return np.abs(x) ** -0.5
 
-    left = integrate_adaptive(f, -1.0, 0.0, singular_exponent_at=(0.0, -0.5))
-    right = integrate_adaptive(f, 0.0, 1.0, singular_exponent_at=(0.0, -0.5))
+    left = integrate_adaptive(f, -1.0, 0.0, singular_exponent=-0.5)
+    right = integrate_adaptive(f, 0.0, 1.0, singular_exponent=-0.5)
     assert abs(left.value + right.value - 4.0) < 1e-10
 
 
@@ -36,7 +36,7 @@ def test_adaptive_matches_gamma_closed_form():
     def f(x):
         return np.abs(x) ** -0.5 * (1.0 + x * x) ** -0.5
 
-    r = integrate_adaptive(f, 0.0, 1.0, singular_exponent_at=(0.0, -0.5))
+    r = integrate_adaptive(f, 0.0, 1.0, singular_exponent=-0.5)
     ref = table_integral(-0.5, -0.5)
     assert abs(4.0 * r.value - ref) < 1e-9 * abs(ref)
 
@@ -70,14 +70,15 @@ def test_adaptive_undeclared_endpoint_singularity():
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_adaptive_refuses_a_declared_interior_point(sign):
+    # a declaration is at x = 0: an interval holding 0 inside, or not at
+    # all, is refused before any evaluation
     def f(x):
-        raise AssertionError("sampled with a declared interior point")
+        raise AssertionError("sampled with 0 not an end")
 
-    a, b = sorted((0.0, sign))
-    point = sign * 0.3
-    with pytest.raises(ValueError, match=rf"at {point} is not an end of "
-                                         rf"\[{a}, {b}\]"):
-        integrate_adaptive(f, a, b, singular_exponent_at=(point, -0.5))
+    for a, b in (sorted((-0.3 * sign, sign)), sorted((0.3 * sign, sign))):
+        with pytest.raises(ValueError, match=rf"at x = 0, which is not an "
+                                             rf"end of \[{a}, {b}\]"):
+            integrate_adaptive(f, a, b, singular_exponent=-0.5)
 
 
 def test_adaptive_divergent_integral_raises():
@@ -148,11 +149,11 @@ def test_adaptive_batch_rows_equal_their_scalar_calls(declared):
     # bit, though the rows stop at different levels; rows that have
     # stopped are no longer evaluated
     f, calls = _batch(*map(_row, range(len(ALPHAS))))
-    sing = (lambda a: (0.0, a)) if declared else (lambda a: None)
-    batch = integrate_adaptive(f, 0.0, 1.0, singular_exponent_at=sing(ALPHAS),
+    sing = (lambda a: a) if declared else (lambda a: None)
+    batch = integrate_adaptive(f, 0.0, 1.0, singular_exponent=sing(ALPHAS),
                                rel_tol=1e-11, batch=len(ALPHAS))
     scalar = [integrate_adaptive(_row(j), 0.0, 1.0,
-                                 singular_exponent_at=sing(ALPHAS[j]),
+                                 singular_exponent=sing(ALPHAS[j]),
                                  rel_tol=1e-11) for j in range(len(ALPHAS))]
     assert batch.value.tolist() == [r.value for r in scalar]
     assert batch.error_estimate.tolist() == [r.error_estimate for r in scalar]
@@ -191,7 +192,7 @@ def test_adaptive_batch_rejects_a_non_integrable_exponent():
 
     with pytest.raises(ValueError, match="exponent -1 <= -1"):
         integrate_adaptive(f, 0.0, 1.0, batch=3,
-                           singular_exponent_at=(0.0, np.array([-0.5, -1.0, 0.0])))
+                           singular_exponent=np.array([-0.5, -1.0, 0.0]))
 
 
 # --------------------------------------------------------------- periodic

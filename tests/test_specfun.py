@@ -115,14 +115,14 @@ def test_table_integral_oscillatory_vs_quadrature():
     def f(x):
         return np.exp(s * np.log(x) + t * np.log1p(x * x))
 
-    r1 = quad.integrate_adaptive(f, 0.0, 1.0, singular_exponent_at=(0.0, 0.0),
+    r1 = quad.integrate_adaptive(f, 0.0, 1.0, singular_exponent=0.0,
                                  rel_tol=1e-12)
 
     def finf(u):
         return np.exp((-s - 2.0 - 2.0 * t) * np.log(u) + t * np.log1p(u * u))
 
     r2 = quad.integrate_adaptive(finf, 0.0, 1.0,
-                                 singular_exponent_at=(0.0, 0.0),
+                                 singular_exponent=0.0,
                                  rel_tol=1e-12)
     ref = 2.0 * (r1.value + r2.value)
     assert abs(table_integral(s, t) - ref) < 1e-9 * abs(ref)
